@@ -16,7 +16,7 @@ import numpy as np
 
 __all__ = [
     "Jet", "variable", "variable_block",
-    "jsin", "jcos", "jexp", "jtanh", "jabs", "jsum", "jdot",
+    "jsin", "jcos", "jexp", "jtanh", "jabs", "jsum",
 ]
 
 
@@ -163,11 +163,3 @@ def jsum(u):
         return Jet(np.sum(u.val, axis=0), np.sum(u.grad, axis=0),
                    np.sum(u.hess, axis=0), u.mx)
     return np.sum(u, axis=0)
-
-
-def jdot(w, u):
-    """Dot product of a plain weight vector with an array-valued jet/array."""
-    if isinstance(u, Jet):
-        return Jet(w @ u.val, w @ u.grad,
-                   np.tensordot(w, u.hess, axes=(0, 0)), u.mx)
-    return float(np.dot(w, u))

@@ -20,12 +20,21 @@ EXIT_VERIFY = 3
 
 def _load(args):
     cfg = load_config(args.config)
+    violations = []
     if getattr(args, "seed", None) is not None:
+        if args.seed < 0:
+            violations.append(f"--seed: must be >= 0, got {args.seed}")
         cfg.master_seed = args.seed
     if getattr(args, "out", None) is not None:
         cfg.output_dir = args.out
     if getattr(args, "runs", None) is not None:
+        if args.runs < 1:
+            violations.append(f"--runs: must be >= 1, got {args.runs}")
         cfg.runs = args.runs
+    if getattr(args, "run_index", 0) < 0:
+        violations.append(f"--run-index: must be >= 0, got {args.run_index}")
+    if violations:
+        raise ConfigError(violations)
     return cfg
 
 
@@ -36,9 +45,14 @@ def cmd_run(args) -> int:
     path = csv_path(cfg.output_dir, args.run_index)
     emit_csv(rec, path, cfg.n, 1 if args.full_rate else cfg.csv_decimation)
     print(f"run {args.run_index}: {len(rec)} samples -> {path}")
-    print(f"final state: {rec.states[-1]}")
+    if len(rec):
+        print(f"final state: {rec.states[-1]}")
     if rec.diverged:
-        print(f"DIVERGED at step {rec.diverged_step}")
+        if rec.diverged_step < len(rec):
+            why = "the divergence guard tripped; that sample is the last one kept"
+        else:
+            why = "the controller failed; no sample was kept for that step"
+        print(f"DIVERGED at step {rec.diverged_step}: {why}")
         return EXIT_DIVERGED
     return EXIT_OK
 
@@ -114,7 +128,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return EXIT_CONFIG
-    except FileNotFoundError as exc:
+    except OSError as exc:           # unreadable config, unwritable output
         print(exc, file=sys.stderr)
         return EXIT_CONFIG
 

@@ -49,8 +49,8 @@ from .rbf import RbfNetwork, basis_components
 __all__ = [
     "StepGains", "GainConfig", "StepEstimates", "StepRates", "AdaptiveState",
     "StepScratch", "ControlEval", "SingularGainError", "NonFiniteDerivative",
-    "coord_change", "nn_input", "tanh_bound_terms", "adaptive_rates",
-    "alpha_1", "alpha_i", "control_u", "compute_scratch", "forward_pass",
+    "nn_input", "tanh_bound_terms", "adaptive_rates",
+    "alpha_1", "compute_scratch", "forward_pass",
 ]
 
 GAIN_FLOOR = 1e-9
@@ -138,16 +138,6 @@ class AdaptiveState:
             ))
         return AdaptiveState(out)
 
-    def max_abs(self) -> float:
-        worst = 0.0
-        for s in self.steps:
-            worst = max(worst,
-                        float(np.max(np.abs(s.vartheta_hat), initial=0.0)),
-                        float(np.max(np.abs(s.p_hat), initial=0.0)),
-                        abs(s.eps_hat),
-                        float(np.max(np.abs(s.W_hat), initial=0.0)))
-        return worst
-
 
 @dataclass
 class StepScratch:
@@ -174,7 +164,6 @@ class ControlEval:
     alphas: np.ndarray               # alpha_1..alpha_{n-1}
     u: float
     rates: List[StepRates]
-    scratches: List[Optional[StepScratch]]
 
 
 def _val(x):
@@ -185,31 +174,15 @@ def _val(x):
 # spec-level operations
 # ---------------------------------------------------------------------------
 
-def coord_change(x: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-    """z_1 = x_1, z_i = x_i - alpha_{i-1}."""
-    x = np.asarray(x, dtype=float)
-    z = x.copy()
-    for i, a in enumerate(alphas):
-        z[i + 1] -= a
-    return z
-
-
-def nn_input(i: int, x, alpha_prev=None, grad_prev=None, input_dim: Optional[int] = None):
+def nn_input(i: int, x, alpha_prev=None, grad_prev=None):
     """Network input for step i: [xbar_i, alpha_{i-1}, da_{i-1}/dx_1.. ].
 
-    Step 1 uses [x_1].  If the step's network takes fewer inputs the vector is
-    truncated; asking for more than is available is a dimension mismatch.
+    Step 1 uses [x_1]; step i >= 2 has 2i entries.  Config parsing rejects
+    any network whose input dimension differs from this layout.
     """
     if i == 1:
-        vec = [x[0]]
-    else:
-        vec = list(x[:i]) + [alpha_prev] + list(grad_prev)
-    if input_dim is not None:
-        if input_dim > len(vec):
-            raise ValueError(f"network expects {input_dim} inputs but step {i} "
-                             f"provides only {len(vec)}")
-        vec = vec[:input_dim]
-    return vec
+        return [x[0]]
+    return list(x[:i]) + [alpha_prev] + list(grad_prev)
 
 
 def tanh_bound_terms(i, z_i, Phi_stack, varphi_stack, est: StepEstimates,
@@ -274,7 +247,7 @@ def _step_quantities(i, xs, est, gains_i: StepGains, plant, net: RbfNetwork,
         Phi_stack = [plant.Phi_bound[0](xbar)]
         varphi_stack = list(plant.varphi_bound[0](xbar))
         rho = list(plant.phi[0](xbar))
-        Z = nn_input(1, xs, input_dim=net.input_dim)
+        Z = nn_input(1, xs)
     else:
         a = scratch
         z = xs[i - 1] - a.alpha
@@ -288,7 +261,7 @@ def _step_quantities(i, xs, est, gains_i: StepGains, plant, net: RbfNetwork,
         for j in range(i - 1):
             phi_j = plant.phi[j](xs[: j + 1])
             rho = [rk - a.grad_x[j] * pk for rk, pk in zip(rho, phi_j)]
-        Z = nn_input(i, xs, a.alpha, a.grad_x, input_dim=net.input_dim)
+        Z = nn_input(i, xs, a.alpha, a.grad_x)
 
     g = plant.g[i - 1](xbar)
     if abs(_val(g)) < GAIN_FLOOR:
@@ -449,10 +422,10 @@ def _scratch_numeric(level, x, adaptive: AdaptiveState, gains: GainConfig,
             part = np.empty(vals.shape[0])
             for k in range(vals.shape[0]):
                 h = FD_STEP_FIRST * max(1.0, abs(vals[k]))
-                part[k] = (f_x_est(level, xs0, adaptive, gains, plant, nets,
-                                   inner_mode, j, attr, k, +h)
-                           - f_x_est(level, xs0, adaptive, gains, plant, nets,
-                                     inner_mode, j, attr, k, -h)) / (2.0 * h)
+                part[k] = (_f_x_est(level, xs0, adaptive, gains, plant, nets,
+                                    inner_mode, j, attr, k, +h)
+                           - _f_x_est(level, xs0, adaptive, gains, plant, nets,
+                                      inner_mode, j, attr, k, -h)) / (2.0 * h)
             blocks[attr] = part
         d_vt.append(blocks["vartheta_hat"])
         d_p.append(blocks["p_hat"])
@@ -464,8 +437,8 @@ def _scratch_numeric(level, x, adaptive: AdaptiveState, gains: GainConfig,
     return StepScratch(alpha0, grad_x, hess, d_vt, d_p, d_eps, d_W)
 
 
-def f_x_est(level, xs, adaptive, gains, plant, nets, inner_mode,
-            step_j, attr, idx, delta):
+def _f_x_est(level, xs, adaptive, gains, plant, nets, inner_mode,
+             step_j, attr, idx, delta):
     steps = [s for s in adaptive.steps]
     est = steps[step_j].copy()
     if attr == "eps_hat":
@@ -506,25 +479,6 @@ def alpha_1(x1: float, adaptive: AdaptiveState, gains: GainConfig, plant,
     """First intermediate law (final-step form is never used here)."""
     q = _step_quantities(1, [float(x1)], adaptive.steps[0], gains[0], plant,
                          nets[0], None, [], final_step=(plant.n == 1))
-    return float(q["alpha"])
-
-
-def alpha_i(i: int, x, adaptive: AdaptiveState, gains: GainConfig,
-            scratch: StepScratch, plant, nets, rates_prev) -> float:
-    """Intermediate law for a middle step 2 <= i <= n-1."""
-    q = _step_quantities(i, [float(v) for v in x], adaptive.steps[i - 1],
-                         gains[i - 1], plant, nets[i - 1], scratch, rates_prev,
-                         final_step=False)
-    return float(q["alpha"])
-
-
-def control_u(x, adaptive: AdaptiveState, gains: GainConfig,
-              scratch: Optional[StepScratch], plant, nets, rates_prev) -> float:
-    """Final-step control; identical structure with u in the last slot."""
-    n = plant.n
-    q = _step_quantities(n, [float(v) for v in x], adaptive.steps[n - 1],
-                         gains[n - 1], plant, nets[n - 1], scratch, rates_prev,
-                         final_step=True)
     return float(q["alpha"])
 
 
@@ -579,4 +533,4 @@ def forward_pass(x, adaptive: AdaptiveState, gains: GainConfig, plant, nets,
                 raise AssertionError(
                     f"tanh absorption bound violated: gap={gap} eps={eps}")
 
-    return ControlEval(z=z, alphas=alphas, u=u, rates=rates, scratches=scratches)
+    return ControlEval(z=z, alphas=alphas, u=u, rates=rates)

@@ -17,7 +17,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import TAIL_FRACTION, ExperimentConfig
 from .controller import (AdaptiveState, NonFiniteDerivative, SingularGainError,
                          forward_pass)
 from .monitor import (bounded_in_probability_stat, convergence_stat,
@@ -31,7 +31,6 @@ __all__ = ["RunReport", "run_closed_loop", "monte_carlo", "emit_csv",
            "emit_report", "csv_header", "csv_path"]
 
 EXCEEDANCE_LEVELS = (0.5, 1.0, 10.0)
-TAIL_FRACTION = 0.75          # tail statistics start at this fraction of the horizon
 
 
 @dataclass
@@ -89,15 +88,8 @@ def _fmt(v: float) -> str:
 
 
 def csv_header(n: int) -> str:
-    cols = ["t"] + [f"x{i}" for i in range(1, n + 1)] + ["u"]
-    cols += [f"z{i}" for i in range(1, n + 1)]
-    cols += [f"alpha{i}" for i in range(1, n)]
-    cols += [f"W{i}_norm" for i in range(1, n + 1)]
-    cols += [f"eps{i}_hat" for i in range(1, n + 1)]
-    cols += [f"p{i}_norm" for i in range(1, n + 1)]
-    cols += [f"vartheta{i}_norm" for i in range(1, n + 1)]
-    cols += ["Vx"]
-    return ",".join(cols)
+    return ",".join(["t"] + [f"x{i}" for i in range(1, n + 1)] + ["u"]
+                    + _diag_names(n))
 
 
 def run_closed_loop(config: ExperimentConfig, run_index: int) -> TrajectoryRecord:
@@ -105,7 +97,8 @@ def run_closed_loop(config: ExperimentConfig, run_index: int) -> TrajectoryRecor
 
     Integration halts (and the partial record is flagged diverged) when any
     state or estimate magnitude exceeds the divergence limit, goes non-finite,
-    or the controller hits a singular gain / non-finite derivative.
+    or the controller hits a singular gain / non-finite derivative; see
+    :class:`~ancsim.sde.TrajectoryRecord` for which samples a halted run keeps.
     """
     plant = config.plant
     n = plant.n

@@ -10,7 +10,7 @@ import numpy as np
 
 __all__ = [
     "TANH_ABSORPTION_DELTA",
-    "tanh_absorption_gap", "tanh_absorption_ok", "max_tanh_absorption_gap",
+    "tanh_absorption_gap", "max_tanh_absorption_gap",
     "quartic_product_margin", "diffusion_energy_margin",
 ]
 
@@ -22,11 +22,6 @@ def tanh_absorption_gap(v, eps):
     """|v| - v tanh(v/eps); lies in [0, TANH_ABSORPTION_DELTA * eps]."""
     v = np.asarray(v, dtype=float)
     return np.abs(v) - v * np.tanh(v / eps)
-
-
-def tanh_absorption_ok(v, eps, delta: float = TANH_ABSORPTION_DELTA) -> bool:
-    gap = tanh_absorption_gap(v, eps)
-    return bool(np.all(gap >= -1e-15) and np.all(gap <= delta * np.asarray(eps) + 1e-15))
 
 
 def max_tanh_absorption_gap(eps: float = 1.0, grid: int = 2_000_001,

@@ -3,10 +3,8 @@
 The primary online signal is the state energy  Vx = sum_i z_i^4 / 4.  The
 parameter-error part of the full energy needs ideal network weights and the
 ideal approximation error, which are existence objects; the monitor therefore
-tracks Vx plus a clearly-labelled partial parameter-error energy using the
-truths that a simulation does know (theta/b envelopes and the disturbance
-constants).  Ideal weight norms for the offset constant K are estimated by a
-least-squares reference fit of each step's unknown-function stack.
+tracks Vx only.  Ideal weight norms for the offset constant K are estimated by
+a least-squares reference fit of each step's unknown-function stack.
 
 All functions here are read-only over completed trajectory records.
 """
@@ -16,15 +14,14 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .controller import AdaptiveState, GainConfig
+from .controller import GainConfig
 from .rbf import RbfNetwork, fit_least_squares
 from .rng import derive_stream
 from .sde import TrajectoryRecord
 
 __all__ = [
-    "BoundConstants", "EnergyRecord", "TruthNorms",
-    "energy_trace", "state_energy", "lambda_K", "reference_truth_norms",
-    "partial_parameter_energy", "empirical_drift",
+    "BoundConstants", "TruthNorms",
+    "state_energy", "lambda_K", "reference_truth_norms", "empirical_drift",
     "bounded_in_probability_stat", "convergence_stat",
 ]
 
@@ -58,24 +55,6 @@ class TruthNorms:
     p_norm: float
     vartheta_norm: float
     W_norm: float
-
-
-@dataclass
-class EnergyRecord:
-    time: float
-    Vx: float
-    estimate_norms: dict
-
-
-def energy_trace(record: TrajectoryRecord) -> List[EnergyRecord]:
-    """View a trajectory's energy channels as typed per-sample records."""
-    norm_names = [k for k in record.diagnostics
-                  if k.endswith("_norm") or k.endswith("_hat")]
-    return [EnergyRecord(time=float(t),
-                         Vx=float(record.diagnostics["Vx"][k]),
-                         estimate_norms={name: float(record.diagnostics[name][k])
-                                         for name in norm_names})
-            for k, t in enumerate(record.times)]
 
 
 def state_energy(z) -> float:
@@ -177,23 +156,6 @@ def reference_truth_norms(plant, nets: Sequence[RbfNetwork],
             W_norm=float(np.linalg.norm(w)),
         ))
     return out
-
-
-def partial_parameter_energy(adaptive: AdaptiveState, plant,
-                             gains: GainConfig) -> float:
-    """Inverse-gain-weighted error energy for the estimates with known truths.
-
-    Covers the vartheta and p blocks only (network-weight and approximation
-    error truths are not observable); frozen gain directions are excluded via
-    the pseudo-inverse.
-    """
-    total = 0.0
-    for i, (est, g) in enumerate(zip(adaptive.steps, gains.steps), start=1):
-        vt_err = est.vartheta_hat - plant.theta_envelope(i)
-        p_err = est.p_hat - plant.p_truth(i)
-        total += 0.5 * float(vt_err @ np.linalg.pinv(g.Gamma_vartheta) @ vt_err)
-        total += 0.5 * float(p_err @ np.linalg.pinv(g.Gamma_p) @ p_err)
-    return total
 
 
 def _aligned_times(ensemble: Sequence[TrajectoryRecord]) -> np.ndarray:

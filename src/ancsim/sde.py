@@ -1,48 +1,35 @@
 """Euler-Maruyama integration of Ito SDEs  dx = drift(x,t) dt + diffusion(x,t) dW.
 
-Pure functions over immutable inputs; each run owns its own stream, so many
-simulations can execute concurrently without shared state.
+The closed-loop driver (:func:`ancsim.harness.run_closed_loop`) owns the only
+stepping loop and divergence guard; this module holds the update it applies
+and the record it fills.
 """
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .rng import NormalStream, wiener_increments
-
-__all__ = [
-    "SdeSystem",
-    "TrajectoryRecord",
-    "DIVERGENCE_LIMIT",
-    "MAX_STEPS",
-    "em_update",
-    "em_step",
-    "simulate",
-]
+__all__ = ["TrajectoryRecord", "DIVERGENCE_LIMIT", "em_update"]
 
 # Any state or estimate magnitude beyond this (or non-finite) tags the run as
 # diverged and halts integration.
 DIVERGENCE_LIMIT = 1e6
-
-MAX_STEPS = 10 ** 8
-
-
-@dataclass
-class SdeSystem:
-    """State dimension plus drift (n-vector) and diffusion (n x r matrix) maps."""
-
-    state_dim: int
-    drift: Callable[[np.ndarray, float], np.ndarray]
-    diffusion: Callable[[np.ndarray, float], np.ndarray]
 
 
 @dataclass
 class TrajectoryRecord:
     """Time-indexed states plus named diagnostic channels for one seeded run.
 
-    All channels have equal length.  ``diverged`` flags a run halted by the
-    divergence guard; the partial trajectory up to ``diverged_step`` is kept.
+    All channels have equal length.  ``diverged`` flags a run that halted
+    early, and ``diverged_step`` is the step index k at which it halted:
+
+    * the magnitude guard (a state, an estimate or the control beyond
+      ``DIVERGENCE_LIMIT``, or non-finite) keeps sample k, so
+      ``diverged_step == len(record) - 1``;
+    * a controller error at step k (singular gain, non-finite derivative)
+      leaves no control for that step, so sample k is not kept and
+      ``diverged_step == len(record)``.
     """
 
     times: np.ndarray
@@ -60,54 +47,3 @@ def em_update(x: np.ndarray, drift_vec: np.ndarray, diffusion_mat: np.ndarray,
               dt: float, dW: np.ndarray) -> np.ndarray:
     """One Euler-Maruyama update: x + drift*dt + diffusion @ dW."""
     return x + drift_vec * dt + diffusion_mat @ dW
-
-
-def em_step(x: np.ndarray, sys: SdeSystem, t: float, dt: float, dW: np.ndarray) -> np.ndarray:
-    """Single integrator step of ``sys`` from state ``x`` at time ``t``."""
-    return em_update(x, np.asarray(sys.drift(x, t), dtype=float),
-                     np.asarray(sys.diffusion(x, t), dtype=float), dt, dW)
-
-
-def is_diverged(x: np.ndarray) -> bool:
-    x = np.asarray(x)
-    return bool(np.any(~np.isfinite(x)) or np.any(np.abs(x) > DIVERGENCE_LIMIT))
-
-
-def simulate(sys: SdeSystem, x0: np.ndarray, horizon: float, dt: float,
-             stream: NormalStream) -> TrajectoryRecord:
-    """Integrate over [0, horizon]; returns floor(horizon/dt)+1 samples.
-
-    Deterministic given the stream.  On divergence the partial trajectory is
-    returned with the offending step index recorded.
-    """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    steps = int(np.floor(horizon / dt))
-    if steps > MAX_STEPS:
-        raise ValueError(f"horizon/dt = {steps} exceeds the {MAX_STEPS} step cap")
-
-    x0 = np.asarray(x0, dtype=float)
-    n = x0.shape[0]
-    path = wiener_increments(stream, _noise_dim(sys, x0), steps, dt)
-
-    times = np.empty(steps + 1)
-    states = np.empty((steps + 1, n))
-    times[0] = 0.0
-    states[0] = x0
-
-    x = x0
-    for k in range(steps):
-        t = k * dt
-        x = em_step(x, sys, t, dt, path.increments[k])
-        times[k + 1] = t + dt
-        states[k + 1] = x
-        if is_diverged(x):
-            return TrajectoryRecord(times[: k + 2], states[: k + 2],
-                                    np.zeros(k + 2), diverged=True,
-                                    diverged_step=k + 1)
-    return TrajectoryRecord(times, states, np.zeros(steps + 1))
-
-
-def _noise_dim(sys: SdeSystem, x0: np.ndarray) -> int:
-    d = np.atleast_2d(np.asarray(sys.diffusion(x0, 0.0), dtype=float))
-    return d.shape[1]

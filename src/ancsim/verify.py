@@ -17,7 +17,7 @@ from .monitor import TruthNorms, empirical_drift, lambda_K, state_energy
 from .plant import check_assumptions, drift, preset_remark, preset_section4
 from .rbf import CenterLayout, RbfNetwork, basis, eval_network, make_centers
 from .rng import derive_stream, wiener_increments
-from .sde import SdeSystem, TrajectoryRecord, simulate
+from .sde import TrajectoryRecord, em_update
 
 __all__ = ["CheckResult", "run_all",
            "tanh_absorption_check", "young_quartic_check", "diffusion_split_check",
@@ -100,12 +100,16 @@ def stream_determinism_check() -> CheckResult:
 
 
 def sde_basics_check() -> CheckResult:
-    sys = SdeSystem(1, lambda x, t: -x, lambda x, t: np.zeros((1, 1)))
-    rec = simulate(sys, np.array([1.0]), 5.0, 1e-4, derive_stream(_SEED, 7))
-    err = abs(rec.states[-1, 0] - np.exp(-5.0))
-    frozen = SdeSystem(2, lambda x, t: np.zeros(2), lambda x, t: np.zeros((2, 1)))
-    rec2 = simulate(frozen, np.array([3.0, -1.0]), 1.0, 1e-2, derive_stream(_SEED, 8))
-    const = np.all(rec2.states == rec2.states[0])
+    """Drive ``em_update`` (the harness's update) on two closed-form SDEs."""
+    x = np.array([1.0])
+    for dw in wiener_increments(derive_stream(_SEED, 7), 1, 50_000, 1e-4).increments:
+        x = em_update(x, -x, np.zeros((1, 1)), 1e-4, dw)     # dx = -x dt
+    err = abs(x[0] - np.exp(-5.0))
+    x0 = np.array([3.0, -1.0])
+    x, const = x0, True
+    for dw in wiener_increments(derive_stream(_SEED, 8), 1, 100, 1e-2).increments:
+        x = em_update(x, np.zeros(2), np.zeros((2, 1)), 1e-2, dw)
+        const = const and np.array_equal(x, x0)
     return _result("sde_basics", err < 1e-2 and const,
                    f"linear_decay_err={err:.2e} constant_traj={bool(const)}")
 

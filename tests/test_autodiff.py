@@ -1,7 +1,7 @@
 import numpy as np
 
-from ancsim.autodiff import (jabs, jcos, jdot, jexp, jsin, jsum, jtanh,
-                             variable, variable_block)
+from ancsim.autodiff import (jabs, jcos, jexp, jsin, jsum, jtanh, variable,
+                             variable_block)
 
 
 def fd(f, x, h=1e-6):
@@ -74,14 +74,6 @@ def test_array_block_propagates_per_entry():
                                                * -np.sin(0.6)))
 
 
-def test_jdot_with_plain_weights():
-    s = variable_block(np.array([0.2, 0.4]), 0, 2, 0)
-    w = np.array([3.0, -1.0])
-    out = jdot(w, jexp(s))
-    assert np.isclose(out.val, w @ np.exp([0.2, 0.4]))
-    assert np.allclose(out.grad, w * np.exp([0.2, 0.4]))
-
-
 def test_scalar_array_broadcast_in_rbf_pattern():
     # the basis-evaluation pattern: scalar jet minus a center array
     centers = np.array([-1.0, 0.0, 1.0])
@@ -102,4 +94,3 @@ def test_python_float_fallbacks():
     assert jtanh(np.array([0.1, 0.2])).shape == (2,)
     assert jabs(-2.0) == 2.0
     assert jsum(np.array([1.0, 2.0])) == 3.0
-    assert jdot(np.array([1.0, 2.0]), np.array([3.0, 4.0])) == 11.0

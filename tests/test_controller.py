@@ -5,9 +5,8 @@ import pytest
 
 from ancsim.controller import (AdaptiveState, GainConfig, SingularGainError,
                                StepEstimates, StepGains, adaptive_rates,
-                               alpha_1, compute_scratch, control_u,
-                               coord_change, forward_pass, nn_input,
-                               tanh_bound_terms)
+                               alpha_1, compute_scratch, forward_pass,
+                               nn_input, tanh_bound_terms)
 from ancsim.ineq import TANH_ABSORPTION_DELTA
 from ancsim.plant import StrictFeedbackPlant
 from ancsim.rbf import CenterLayout, RbfNetwork, basis, make_centers
@@ -32,29 +31,15 @@ def random_estimates(stream, l2=64):
 
 
 # ---------------------------------------------------------------------------
-# coordinate change and network inputs
+# network inputs
 # ---------------------------------------------------------------------------
-
-def test_coord_change_identity_for_zero_alphas():
-    x = np.array([0.3, -0.7, 1.1])
-    assert np.array_equal(coord_change(x, np.zeros(2)), x)
-
-
-def test_coord_change_arithmetic_and_roundtrip():
-    z = coord_change(np.array([1.0, 2.0]), np.array([0.5]))
-    assert np.allclose(z, [1.0, 1.5])
-    x_back = z.copy()
-    x_back[1] += 0.5
-    assert np.allclose(x_back, [1.0, 2.0], rtol=0, atol=1e-15)
-
 
 def test_nn_input_layouts():
     assert nn_input(1, [0.3]) == [0.3]
     vec = nn_input(2, [1.0, -1.0], alpha_prev=-1.78, grad_prev=[-2.1])
     assert vec == [1.0, -1.0, -1.78, -2.1]
-    assert len(nn_input(2, [1.0, -1.0], -1.78, [-2.1], input_dim=4)) == 4
-    with pytest.raises(ValueError):
-        nn_input(1, [0.3], input_dim=2)
+    vec = nn_input(3, [1.0, -1.0, 0.5], alpha_prev=0.2, grad_prev=[0.3, -0.4])
+    assert vec == [1.0, -1.0, 0.5, 0.2, 0.3, -0.4]
 
 
 # ---------------------------------------------------------------------------
@@ -292,18 +277,6 @@ def test_u_structural_zero(section4_config, zero_estimates):
     assert ev.u == 0.0 and np.all(ev.alphas == 0.0)
 
 
-def test_control_u_wrapper_matches_forward(section4_config):
-    cfg = section4_config
-    stream = derive_stream(28, 0)
-    x = stream.uniform(2, -1.0, 1.0)
-    adaptive = random_estimates(stream)
-    ev = forward_pass(x, adaptive, cfg.gains, cfg.plant, cfg.networks)
-    sc = compute_scratch(2, x, adaptive, cfg.gains, cfg.plant, cfg.networks)
-    u = control_u(x, adaptive, cfg.gains, sc, cfg.plant, cfg.networks,
-                  ev.rates[:1])
-    assert abs(u - ev.u) < 1e-12
-
-
 def test_u_golden_regression(section4_config):
     cfg = section4_config
     ev = forward_pass(np.array([0.1, -0.1]), cfg.initial_estimates, cfg.gains,
@@ -400,22 +373,15 @@ def test_third_order_forward_pass_and_scratch_consistency():
     x = np.array([0.3, -0.2, 0.1])
     ev = forward_pass(x, est, gains, plant, nets)
     assert np.all(np.isfinite(ev.z)) and np.isfinite(ev.u)
+    # error coordinates: z_1 = x_1, z_i = x_i - alpha_{i-1}
     assert ev.z[0] == x[0]
+    # (alpha_{i-1} inside step i is re-evaluated through the scratch)
+    assert np.allclose(ev.z[1:], x[1:] - ev.alphas, rtol=0, atol=1e-12)
     # the two modes chain differently above the first level but must agree
     d = compute_scratch(3, x, est, gains, plant, nets, mode="dual")
     n = compute_scratch(3, x, est, gains, plant, nets, mode="numeric")
     assert np.allclose(d.grad_x, n.grad_x, rtol=1e-4, atol=1e-6)
     assert np.allclose(d.hess_x, n.hess_x, rtol=5e-2, atol=1e-3)
-
-
-def test_alpha_i_wrapper_on_middle_step():
-    from ancsim.controller import alpha_i
-    plant, nets, gains, est = cascade3()
-    x = np.array([0.3, -0.2, 0.1])
-    ev = forward_pass(x, est, gains, plant, nets)
-    sc = compute_scratch(2, x, est, gains, plant, nets)
-    a2 = alpha_i(2, x, est, gains, sc, plant, nets, ev.rates[:1])
-    assert abs(a2 - ev.alphas[1]) < 1e-9
 
 
 def test_third_order_regulation_noise_free():

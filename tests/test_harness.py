@@ -48,6 +48,39 @@ def test_bundled_config_matches_design_table(section4_config):
     assert np.allclose(cfg.x0, [0.5, -0.5])
 
 
+def test_missing_key_reported_with_field_path():
+    data = json.loads(bundled_preset_text("section4"))
+    del data["networks"][0]["bounds"]
+    del data["gains"][1]["sigma_w"]
+    with pytest.raises(ConfigError) as err:
+        parse_config(data)
+    assert err.value.violations == ["networks[0].bounds: missing",
+                                    "gains[1].sigma_w: missing"]
+
+
+def test_non_canonical_input_dim_rejected():
+    for step, dim in ((0, 2), (1, 3), (1, 5)):
+        data = json.loads(bundled_preset_text("section4"))
+        data["networks"][step]["input_dim"] = dim
+        with pytest.raises(ConfigError) as err:
+            parse_config(data)
+        assert err.value.violations[0].startswith(f"networks[{step}].input_dim:")
+
+
+def test_horizon_without_tail_samples_rejected(tmp_path):
+    # the tail window [0.75 T, T] must hold a sample of the grid k * dt
+    data = json.loads(bundled_preset_text("section4"))
+    for horizon in (0.0004, 0.0015, 0.0019):
+        data["horizon"] = horizon
+        with pytest.raises(ConfigError) as err:
+            parse_config(data)
+        assert err.value.violations[0].startswith("horizon:")
+    for horizon in (0.001, 0.0013, 0.002):     # accepted ones summarize
+        data["horizon"], data["runs"] = horizon, 1
+        report, _ = monte_carlo(parse_config(data), out_dir=str(tmp_path))
+        assert np.isfinite(report.tail_quantiles["max"])
+
+
 def test_negative_dt_rejected_with_field_path():
     data = json.loads(bundled_preset_text("section4"))
     data["dt"] = -1.0
@@ -138,6 +171,30 @@ def test_same_seed_reproduces_exactly(section4_config):
     assert np.array_equal(a.controls, b.controls)
 
 
+def test_guard_halt_keeps_the_offending_sample(section4_config):
+    # a state beyond the divergence limit trips the magnitude guard at step 0;
+    # the controller itself stays finite there (x1 = 0)
+    cfg = short(section4_config, horizon=0.1)
+    cfg.x0 = np.array([0.0, 2e6])
+    rec = run_closed_loop(cfg, 0)
+    assert rec.diverged
+    assert rec.diverged_step == len(rec) - 1 == 0
+    assert np.array_equal(rec.states[0], cfg.x0)
+    assert np.isfinite(rec.controls[0])
+
+
+def test_controller_halt_drops_the_failing_step():
+    # remark1's g2 = exp(-x2) is below the gain floor at x2 = 25, so the
+    # controller raises at step 0 and no control exists for that step
+    cfg = load_bundled("remark1")
+    cfg.horizon = 0.1
+    cfg.x0 = np.array([0.0, 25.0])
+    rec = run_closed_loop(cfg, 0)
+    assert rec.diverged
+    assert rec.diverged_step == len(rec) == 0
+    assert all(len(ch) == 0 for ch in rec.diagnostics.values())
+
+
 def test_divergence_flagged_under_hostile_gains(section4_config):
     cfg = short(section4_config, horizon=2.0)
     cfg.x0 = np.array([3.0, -3.0])
@@ -158,10 +215,15 @@ def test_divergence_flagged_under_hostile_gains(section4_config):
 # CSV and report emission
 # ---------------------------------------------------------------------------
 
-def test_csv_header_contract():
-    assert csv_header(2) == ("t,x1,x2,u,z1,z2,alpha1,W1_norm,W2_norm,"
-                             "eps1_hat,eps2_hat,p1_norm,p2_norm,"
-                             "vartheta1_norm,vartheta2_norm,Vx")
+def test_csv_header_contract(section4_config, tmp_path):
+    cfg = short(section4_config, horizon=0.01)
+    path = str(tmp_path / "run.csv")
+    emit_csv(run_closed_loop(cfg, 0), path, cfg.n)
+    with open(path) as fh:
+        header = fh.readline()
+    assert header == ("t,x1,x2,u,z1,z2,alpha1,W1_norm,W2_norm,"
+                      "eps1_hat,eps2_hat,p1_norm,p2_norm,"
+                      "vartheta1_norm,vartheta2_norm,Vx\n")
 
 
 def test_csv_roundtrip_and_decimation(section4_config, tmp_path):
@@ -265,6 +327,70 @@ def test_cli_bad_config_exits_one(tmp_path, capsys):
     code = main(["run", "--config", cfgp])
     assert code == 1
     assert "dt" in capsys.readouterr().err
+
+
+# one malformed field per case: (mutation, the start of its violation)
+BAD_FIELDS = {
+    "dt": (lambda d: d.update(dt="abc"), "dt: expected a number"),
+    "gain": (lambda d: d["gains"][0].update(c="x"), "gains[0].c: expected a number"),
+    "eps_hat": (lambda d: d["initial_estimates"][0].update(eps_hat=None),
+                "initial_estimates[0].eps_hat: expected a number"),
+    "runs": (lambda d: d.update(runs="many"), "runs: expected an integer"),
+    "noise_scale": (lambda d: d["plant"]["params"].update(noise_scale="x"),
+                    "plant.params.noise_scale: expected a number"),
+    "bounds": (lambda d: d["networks"][0].pop("bounds"), "networks[0].bounds: missing"),
+    "horizon": (lambda d: d.update(horizon=0.0004), "horizon: 0.0004 is shorter"),
+    "input_dim": (lambda d: d["networks"][1].update(input_dim=3),
+                  "networks[1].input_dim: step 2 feeds"),
+}
+
+
+def write_config(tmp_path, data):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(data))
+    return str(p)
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FIELDS))
+def test_cli_malformed_field_exits_one(tmp_path, capsys, case):
+    data = json.loads(bundled_preset_text("section4"))
+    mutate, expected = BAD_FIELDS[case]
+    mutate(data)
+    code = main(["sweep", "--config", write_config(tmp_path, data)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.count("\n  - ") == 1 and f"  - {expected}" in err
+
+
+def test_cli_lists_every_violation(tmp_path, capsys):
+    # the tail-window check needs a valid dt, so the horizon case stays out
+    cases = [c for name, c in sorted(BAD_FIELDS.items()) if name != "horizon"]
+    data = json.loads(bundled_preset_text("section4"))
+    for mutate, _ in cases:
+        mutate(data)
+    code = main(["run", "--config", write_config(tmp_path, data)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.count("\n  - ") == len(cases)
+    for _, expected in cases:
+        assert f"  - {expected}" in err
+
+
+def test_cli_bad_overrides_exit_one(tmp_path, capsys):
+    cfgp = write_quick_config(tmp_path)
+    assert main(["run", "--config", cfgp, "--seed", "-1", "--run-index", "-2"]) == 1
+    err = capsys.readouterr().err
+    assert "--seed" in err and "--run-index" in err
+    assert main(["sweep", "--config", cfgp, "--runs", "0"]) == 1
+    assert "--runs" in capsys.readouterr().err
+
+
+def test_cli_run_reports_controller_halt(tmp_path, capsys):
+    cfgp = write_quick_config(tmp_path, plant={"preset": "remark1", "params": {}},
+                              x0=[0.0, 25.0])
+    assert main(["run", "--config", cfgp]) == 2
+    out = capsys.readouterr().out
+    assert "0 samples" in out and "DIVERGED at step 0" in out
 
 
 def test_cli_presets_lists_and_dumps(capsys):

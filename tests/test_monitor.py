@@ -5,8 +5,7 @@ import pytest
 
 from ancsim.monitor import (BoundConstants, TruthNorms,
                             bounded_in_probability_stat, convergence_stat,
-                            empirical_drift, lambda_K,
-                            partial_parameter_energy, reference_truth_norms,
+                            empirical_drift, lambda_K, reference_truth_norms,
                             state_energy)
 from ancsim.sde import TrajectoryRecord
 
@@ -90,19 +89,6 @@ def test_reference_truth_norms_shapes(section4_config):
     assert 0.0 < truth[1].W_norm < 1e3
 
 
-def test_partial_parameter_energy_zero_at_truth(section4_config):
-    cfg = section4_config
-    adaptive = cfg.initial_estimates.copy()
-    adaptive.steps[0].vartheta_hat = cfg.plant.theta_envelope(1).copy()
-    adaptive.steps[0].p_hat = cfg.plant.p_truth(1).copy()
-    adaptive.steps[1].vartheta_hat = cfg.plant.theta_envelope(2).copy()
-    adaptive.steps[1].p_hat = cfg.plant.p_truth(2).copy()
-    assert partial_parameter_energy(adaptive, cfg.plant, cfg.gains) == \
-        pytest.approx(0.0, abs=1e-15)
-    adaptive.steps[0].p_hat = adaptive.steps[0].p_hat + 1.0
-    assert partial_parameter_energy(adaptive, cfg.plant, cfg.gains) > 0.0
-
-
 def test_empirical_drift_constant_ensemble_is_zero():
     times = np.linspace(0, 2, 401)
     recs = [record_from_energy(times, np.full(401, 7.0)) for _ in range(10)]
@@ -158,20 +144,6 @@ def test_convergence_stat_deterministic_decay():
                              {"Vx": np.zeros(len(times))})]
     q = convergence_stat(recs, tail_start=15.0)
     assert q["median"] <= np.exp(-15.0) * (1 + 1e-9)
-
-
-def test_energy_trace_view(section4_config):
-    from ancsim.harness import run_closed_loop
-    from ancsim.monitor import energy_trace
-    cfg = section4_config
-    cfg.horizon = 0.05
-    rec = run_closed_loop(cfg, 0)
-    trace = energy_trace(rec)
-    assert len(trace) == len(rec)
-    assert trace[0].time == 0.0
-    assert trace[-1].Vx == rec.diagnostics["Vx"][-1]
-    assert "W1_norm" in trace[0].estimate_norms
-    assert all(e.Vx >= 0.0 for e in trace)
 
 
 def test_bound_constants_helpers():
