@@ -31,8 +31,32 @@ def random_estimates(stream, l2=64):
 
 
 # ---------------------------------------------------------------------------
-# network inputs
+# coordinate change and network inputs
 # ---------------------------------------------------------------------------
+
+def test_coord_change_identity_for_zero_alphas(section4_config, zero_estimates):
+    # with zero estimates and x_1 = 0 the virtual control vanishes, so z = x
+    cfg = section4_config
+    x = np.array([0.0, -0.7])
+    for mode in ("dual", "numeric"):
+        ev = forward_pass(x, zero_estimates, cfg.gains, cfg.plant,
+                          cfg.networks, mode=mode)
+        assert np.all(ev.alphas == 0.0)
+        assert np.array_equal(ev.z, x)
+
+
+def test_coord_change_arithmetic_and_roundtrip(section4_config):
+    cfg = section4_config
+    x = np.array([1.0, 2.0])
+    ev = forward_pass(x, cfg.initial_estimates, cfg.gains, cfg.plant,
+                      cfg.networks)
+    assert ev.alphas[0] != 0.0
+    assert ev.z[0] == x[0]
+    assert np.allclose(ev.z[1], x[1] - ev.alphas[0])
+    x_back = ev.z.copy()
+    x_back[1] += ev.alphas[0]
+    assert np.allclose(x_back, x, rtol=0, atol=1e-15)
+
 
 def test_nn_input_layouts():
     assert nn_input(1, [0.3]) == [0.3]
