@@ -5,9 +5,9 @@ Hessian over the first ``mx`` of them in a single forward pass.  Values may be
 scalars or 1-D arrays (the derivative axes trail the value axis), so whole
 basis-function vectors propagate in one numpy operation.
 
-The split m/mx exists because the control recursion needs second derivatives
-only with respect to state variables, while first derivatives are also needed
-with respect to every adaptive estimate.
+The split m/mx lets first derivatives cover more variables than second
+derivatives (say, parameters next to states).  The control recursion tags x_1
+alone (m = mx = 1): it takes its estimate partials in closed form.
 """
 
 import math
@@ -30,6 +30,10 @@ def _bmul(v, arr, nvar):
 
 class Jet:
     __slots__ = ("val", "grad", "hess", "mx")
+
+    # numpy defers to the Jet's reflected operators, so ``array * jet`` is
+    # ``jet.__rmul__(array)`` rather than an object array of per-entry products
+    __array_ufunc__ = None
 
     def __init__(self, val, grad, hess, mx):
         self.val = val
@@ -158,8 +162,13 @@ def jabs(u):
 
 
 def jsum(u):
-    """Sum an array-valued jet (or plain array) over its value axis."""
+    """Sum an array-valued jet (or plain array) over its value axis.
+
+    The gradient is summed entry by entry in value order, so each of its
+    columns is the same at any jet width (``np.sum`` would sum a single
+    column pairwise but a wide gradient row by row).
+    """
     if isinstance(u, Jet):
-        return Jet(np.sum(u.val, axis=0), np.sum(u.grad, axis=0),
+        return Jet(np.sum(u.val, axis=0), np.cumsum(u.grad, axis=0)[-1],
                    np.sum(u.hess, axis=0), u.mx)
     return np.sum(u, axis=0)

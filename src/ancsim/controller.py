@@ -28,21 +28,27 @@ Notes on the recursion terms:
   of gradient-weighted per-step envelopes).  For block-embedded regressors
   this is exactly the concatenated form with the zero blocks removed.
 
-Derivatives of alpha_{i-1} come from :func:`compute_scratch` in one of two
-modes: "dual" propagates second-order forward jets through the recursion
-(machine precision for the first recursion level, which covers second-order
-plants); "numeric" uses central differences with fixed relative steps.
+Derivatives of alpha_{i-1} come from :func:`compute_scratch`.  alpha_{i-1}
+is affine in its own step's estimates and g_{i-1} does not depend on them, so
+d alpha_{i-1} / d(vartheta, p, eps, W)_{i-1} = -(w2, w1, w0, S) / g_{i-1}
+exactly, in both modes, from the regressors the adaptive laws use anyway.
+The state derivatives and the partials in earlier steps' estimates come in
+one of two modes: "dual" propagates a second-order forward jet in x_1 through
+step 1 (machine precision for the first recursion level, which covers
+second-order plants); "numeric" uses central differences with fixed relative
+steps.
 Everything here is a pure function of (x, AdaptiveState, GainConfig); the
 closed-loop driver owns the single mutable AdaptiveState per run.
 """
 
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import List, Optional
 
 import numpy as np
 
-from .autodiff import Jet, jsum, jtanh, variable, variable_block
+# variable_block is not called here; it stays importable from this module
+# because the benchmark's traced run wraps controller.variable_block by name
+from .autodiff import Jet, jsum, jtanh, variable, variable_block  # noqa: F401
 from .ineq import TANH_ABSORPTION_DELTA, tanh_absorption_gap
 from .rbf import RbfNetwork, basis_components
 
@@ -295,26 +301,32 @@ def _step_quantities(i, xs, est, gains_i: StepGains, plant, net: RbfNetwork,
     alpha = terms / g
 
     if debug_pairs is not None:
-        _collect_debug_pairs(debug_pairs,
-                             {"z": _val(z),
-                              "Phi_stack": [_val(v) for v in Phi_stack],
-                              "varphi_stack": [_val(v) for v in varphi_stack]},
-                             gains_i)
+        z3 = _val(z) ** 3
+        debug_pairs.append((z3, gains_i.eps0))
+        debug_pairs.extend((z3 * _val(v), gains_i.eps1) for v in Phi_stack)
+        debug_pairs.extend((z3 * _val(v), gains_i.eps2) for v in varphi_stack)
 
-    return {"z": z, "alpha": alpha, "w0": w0, "w1": w1, "w2": w2,
+    return {"z": z, "alpha": alpha, "g": g, "w0": w0, "w1": w1, "w2": w2,
             "S": S, "Phi_stack": Phi_stack, "varphi_stack": varphi_stack}
 
 
-def _collect_debug_pairs(pairs, values, gains_i: StepGains):
-    z3 = values["z"] ** 3
-    pairs.append((z3, gains_i.eps0))
-    pairs.extend((z3 * v, gains_i.eps1) for v in values["Phi_stack"])
-    pairs.extend((z3 * v, gains_i.eps2) for v in values["varphi_stack"])
+def _own_step_partials(q):
+    """Partials of alpha_i in step i's estimates from step-i quantity values.
+
+    alpha_i is affine in (vartheta_i, p_i, eps_i, W_i) with coefficients
+    -(w2, w1, w0, S) / g_i, and neither the coefficients nor g_i depend on
+    those estimates.  Returns (d_vartheta, d_p, d_eps, d_W).
+    """
+    inv_g = 1.0 / q["g"]
+    return (-np.asarray(q["w2"], dtype=float) * inv_g,
+            -np.asarray(q["w1"], dtype=float) * inv_g,
+            -float(q["w0"]) * inv_g,
+            -q["S"] * inv_g)
 
 
 def _chain_alpha_value(level, xs, adaptive: AdaptiveState, gains: GainConfig,
-                       plant, nets, inner_mode: str) -> float:
-    """Evaluate alpha_level on floats by running the recursion from step 1."""
+                       plant, nets, inner_mode: str) -> dict:
+    """Run the recursion from step 1 on floats; returns step ``level``'s quantities."""
     rates_prev = []
     q = None
     for i in range(1, level + 1):
@@ -325,9 +337,8 @@ def _chain_alpha_value(level, xs, adaptive: AdaptiveState, gains: GainConfig,
         q = _step_quantities(i, xs, adaptive.steps[i - 1], gains[i - 1], plant,
                              nets[i - 1], scratch, rates_prev, final_step=False)
         rates_prev.append(adaptive_rates(i, q["z"], q["w0"], q["w1"], q["w2"],
-                                         _val(q["S"]), adaptive.steps[i - 1],
-                                         gains[i - 1]))
-    return q["alpha"]
+                                         q["S"], adaptive.steps[i - 1], gains[i - 1]))
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -335,42 +346,29 @@ def _chain_alpha_value(level, xs, adaptive: AdaptiveState, gains: GainConfig,
 # ---------------------------------------------------------------------------
 
 def _scratch_first_level_jets(x, adaptive: AdaptiveState, gains: GainConfig,
-                              plant, nets):
-    """Jet pass through step 1; returns (scratch, step-1 quantity values)."""
-    est1 = adaptive.steps[0]
-    q = len(est1.vartheta_hat)
-    m = 1 + q + len(est1.p_hat) + 1 + len(est1.W_hat)
-    mx = 1
+                              plant, nets, debug_pairs=None):
+    """Jet pass through step 1; returns (scratch, step-1 quantity values).
 
-    x1 = variable(x[0], 0, m, mx)
-    pos = 1
-    vt = [variable(v, pos + k, m, mx) for k, v in enumerate(est1.vartheta_hat)]
-    pos += q
-    ph = [variable(v, pos + k, m, mx) for k, v in enumerate(est1.p_hat)]
-    pos += len(est1.p_hat)
-    eh = variable(est1.eps_hat, pos, m, mx)
-    pos += 1
-    wh = variable_block(est1.W_hat, pos, m, mx)
-
-    est_jets = SimpleNamespace(vartheta_hat=vt, p_hat=ph, eps_hat=eh, W_hat=wh)
-    out = _step_quantities(1, [x1], est_jets, gains[0], plant, nets[0],
-                           None, [], final_step=False)
+    Only x_1 is tagged: the estimates enter as plain numbers, and their
+    partials come from :func:`_own_step_partials`.
+    """
+    out = _step_quantities(1, [variable(x[0], 0, 1, 1)], adaptive.steps[0], gains[0],
+                           plant, nets[0], None, [], final_step=False,
+                           debug_pairs=debug_pairs)
     aj = out["alpha"]
-    grad = np.asarray(aj.grad, dtype=float)
-    if not (np.isfinite(aj.val) and np.all(np.isfinite(grad))
+    # alpha_1 is finite only if every regressor (hence every partial) is
+    if not (np.isfinite(aj.val) and np.all(np.isfinite(aj.grad))
             and np.all(np.isfinite(aj.hess))):
         raise NonFiniteDerivative("non-finite derivative in first-level scratch")
-    pos = 1
+    q = {k: _quantity_values(v) for k, v in out.items()}
+    d_vt, d_p, d_eps, d_W = _own_step_partials(q)
     scratch = StepScratch(
         alpha=float(aj.val),
-        grad_x=grad[:1].copy(),
-        hess_x=np.asarray(aj.hess, dtype=float).reshape(1, 1).copy(),
-        d_vartheta=[grad[pos: pos + q].copy()],
-        d_p=[grad[pos + q: pos + q + len(est1.p_hat)].copy()],
-        d_eps=[float(grad[pos + q + len(est1.p_hat)])],
-        d_W=[grad[pos + q + len(est1.p_hat) + 1:].copy()],
+        grad_x=np.array(aj.grad, dtype=float),
+        hess_x=np.array(aj.hess, dtype=float).reshape(1, 1),
+        d_vartheta=[d_vt], d_p=[d_p], d_eps=[d_eps], d_W=[d_W],
     )
-    return scratch, {k: _quantity_values(v) for k, v in out.items()}
+    return scratch, q
 
 
 def _quantity_values(v):
@@ -386,9 +384,11 @@ def _scratch_numeric(level, x, adaptive: AdaptiveState, gains: GainConfig,
     xs0 = [float(v) for v in x[:level]]
 
     def f_x(xs):
-        return _chain_alpha_value(level, xs, adaptive, gains, plant, nets, inner_mode)
+        return _chain_alpha_value(level, xs, adaptive, gains, plant, nets,
+                                  inner_mode)["alpha"]
 
-    alpha0 = f_x(xs0)
+    base = _chain_alpha_value(level, xs0, adaptive, gains, plant, nets, inner_mode)
+    alpha0 = base["alpha"]
     grad_x = np.empty(level)
     for j in range(level):
         h = FD_STEP_FIRST * max(1.0, abs(xs0[j]))
@@ -413,51 +413,57 @@ def _scratch_numeric(level, x, adaptive: AdaptiveState, gains: GainConfig,
                 pts.append(f_x(p))
             hess[j, k] = hess[k, j] = (pts[0] - pts[1] - pts[2] + pts[3]) / (4.0 * hs[j] * hs[k])
 
-    d_vt, d_p, d_eps, d_W = [], [], [], []
-    for j in range(level):
-        blocks = {}
-        for attr in ("vartheta_hat", "p_hat", "eps_hat", "W_hat"):
-            base = getattr(adaptive.steps[j], attr)
-            vals = np.atleast_1d(np.asarray(base, dtype=float))
-            part = np.empty(vals.shape[0])
-            for k in range(vals.shape[0]):
-                h = FD_STEP_FIRST * max(1.0, abs(vals[k]))
-                part[k] = (_f_x_est(level, xs0, adaptive, gains, plant, nets,
-                                    inner_mode, j, attr, k, +h)
-                           - _f_x_est(level, xs0, adaptive, gains, plant, nets,
-                                      inner_mode, j, attr, k, -h)) / (2.0 * h)
-            blocks[attr] = part
-        d_vt.append(blocks["vartheta_hat"])
-        d_p.append(blocks["p_hat"])
-        d_eps.append(float(blocks["eps_hat"][0]))
-        d_W.append(blocks["W_hat"])
+    # earlier steps' estimates reach alpha_level through the recursion:
+    # central differences; its own step's estimates: closed form
+    per_step = [_fd_estimate_partials(level, xs0, adaptive, gains, plant, nets,
+                                      inner_mode, j) for j in range(level - 1)]
+    per_step.append(_own_step_partials(base))
+    d_vt, d_p, d_eps, d_W = (list(blocks) for blocks in zip(*per_step))
 
     if not (np.isfinite(alpha0) and np.all(np.isfinite(grad_x)) and np.all(np.isfinite(hess))):
         raise NonFiniteDerivative("non-finite derivative in numeric scratch")
     return StepScratch(alpha0, grad_x, hess, d_vt, d_p, d_eps, d_W)
 
 
-def _f_x_est(level, xs, adaptive, gains, plant, nets, inner_mode,
-             step_j, attr, idx, delta):
-    steps = [s for s in adaptive.steps]
-    est = steps[step_j].copy()
-    if attr == "eps_hat":
-        est.eps_hat += delta
-    else:
-        getattr(est, attr)[idx] += delta
-    steps[step_j] = est
-    return _chain_alpha_value(level, xs, AdaptiveState(steps), gains, plant,
-                              nets, inner_mode)
+def _fd_estimate_partials(level, xs, adaptive: AdaptiveState, gains: GainConfig,
+                          plant, nets, inner_mode: str, j: int):
+    """Central differences of alpha_level in step j+1's estimates.
+
+    Returns (d_vartheta, d_p, d_eps, d_W), two chain evaluations per entry.
+    """
+    est = adaptive.steps[j]
+    blocks = []
+    for attr in ("vartheta_hat", "p_hat", "eps_hat", "W_hat"):
+        vals = np.atleast_1d(np.asarray(getattr(est, attr), dtype=float))
+        part = np.empty(vals.shape[0])
+        for k in range(vals.shape[0]):
+            h = FD_STEP_FIRST * max(1.0, abs(vals[k]))
+            ends = []
+            for delta in (h, -h):
+                moved = est.copy()
+                if attr == "eps_hat":
+                    moved.eps_hat += delta
+                else:
+                    getattr(moved, attr)[k] += delta
+                steps = list(adaptive.steps)
+                steps[j] = moved
+                ends.append(_chain_alpha_value(level, xs, AdaptiveState(steps), gains,
+                                               plant, nets, inner_mode)["alpha"])
+            part[k] = (ends[0] - ends[1]) / (2.0 * h)
+        blocks.append(part)
+    return blocks[0], blocks[1], float(blocks[2][0]), blocks[3]
 
 
 def compute_scratch(i: int, x, adaptive: AdaptiveState, gains: GainConfig,
                     plant, nets, mode: str = "dual") -> StepScratch:
     """Derivatives of alpha_{i-1} with respect to states and estimate blocks.
 
-    mode "dual" runs a second-order forward-jet pass (exact) for the first
-    recursion level; for deeper levels the outer derivatives chain central
-    differences over evaluations whose inner scratches are exact.  mode
-    "numeric" uses central differences throughout.
+    The partials in step i-1's own estimates are exact in both modes (closed
+    form, see :func:`_own_step_partials`).  mode "dual" runs a second-order
+    forward jet in x_1 (exact) for the first recursion level; for deeper
+    levels the state derivatives and the partials in earlier steps' estimates
+    chain central differences over evaluations whose inner scratches are
+    exact.  mode "numeric" uses central differences for all of those.
     """
     if i < 2:
         raise ValueError("scratch is defined for steps i >= 2")
@@ -488,43 +494,32 @@ def forward_pass(x, adaptive: AdaptiveState, gains: GainConfig, plant, nets,
     n = plant.n
     xs = [float(v) for v in x]
     rates: List[StepRates] = []
-    scratches: List[Optional[StepScratch]] = [None] * n
     z = np.empty(n)
     alphas = np.empty(max(n - 1, 0))
     u = 0.0
     debug_pairs = [] if debug else None
 
+    scratch = None                   # derivatives of alpha_{i-1}, once known
     for i in range(1, n + 1):
-        q = None
-        if i >= 2:
-            if mode == "dual" and i == 2:
-                # the jet pass already evaluated step 1; reuse its values
-                scratches[1], q_prev = _scratch_first_level_jets(
-                    xs, adaptive, gains, plant, nets)
-                if not rates:
-                    z[0] = q_prev["z"]
-                    alphas[0] = q_prev["alpha"]
-                    rates.append(adaptive_rates(
-                        1, q_prev["z"], q_prev["w0"], q_prev["w1"], q_prev["w2"],
-                        q_prev["S"], adaptive.steps[0], gains[0]))
-                    if debug_pairs is not None:
-                        _collect_debug_pairs(debug_pairs, q_prev, gains[0])
-            else:
-                scratches[i - 1] = compute_scratch(i, xs, adaptive, gains,
-                                                   plant, nets, mode=mode)
         if i == 1 and n >= 2 and mode == "dual":
-            continue
-        q = _step_quantities(i, xs, adaptive.steps[i - 1], gains[i - 1], plant,
-                             nets[i - 1], scratches[i - 1], rates,
-                             final_step=(i == n), debug_pairs=debug_pairs)
+            # one jet pass evaluates step 1 and differentiates alpha_1
+            scratch, q = _scratch_first_level_jets(xs, adaptive, gains, plant,
+                                                   nets, debug_pairs)
+        else:
+            if i >= 2 and scratch is None:
+                scratch = compute_scratch(i, xs, adaptive, gains, plant, nets,
+                                          mode=mode)
+            q = _step_quantities(i, xs, adaptive.steps[i - 1], gains[i - 1], plant,
+                                 nets[i - 1], scratch, rates,
+                                 final_step=(i == n), debug_pairs=debug_pairs)
+            scratch = None
         z[i - 1] = q["z"]
         if i == n:
             u = float(q["alpha"])
         else:
             alphas[i - 1] = float(q["alpha"])
         rates.append(adaptive_rates(i, q["z"], q["w0"], q["w1"], q["w2"],
-                                    _val(q["S"]), adaptive.steps[i - 1],
-                                    gains[i - 1]))
+                                    q["S"], adaptive.steps[i - 1], gains[i - 1]))
 
     if debug_pairs:
         for v, eps in debug_pairs:

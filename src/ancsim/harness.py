@@ -97,7 +97,8 @@ def run_closed_loop(config: ExperimentConfig, run_index: int) -> TrajectoryRecor
 
     Integration halts (and the partial record is flagged diverged) when any
     state or estimate magnitude exceeds the divergence limit, goes non-finite,
-    or the controller hits a singular gain / non-finite derivative; see
+    the controller hits a singular gain / non-finite derivative, or the
+    controller or the plant overflows (``OverflowError``); see
     :class:`~ancsim.sde.TrajectoryRecord` for which samples a halted run keeps.
     """
     plant = config.plant
@@ -122,7 +123,7 @@ def run_closed_loop(config: ExperimentConfig, run_index: int) -> TrajectoryRecor
         try:
             ev = forward_pass(x, adaptive, config.gains, plant,
                               config.networks, mode=config.scratch_mode)
-        except (SingularGainError, NonFiniteDerivative):
+        except (SingularGainError, NonFiniteDerivative, OverflowError):
             diverged, diverged_step = True, k
             break
         times[k] = t
@@ -136,8 +137,12 @@ def run_closed_loop(config: ExperimentConfig, run_index: int) -> TrajectoryRecor
         if k == steps:
             break
         dw = path.increments[k]
-        x = em_update(x, drift(plant, x, ev.u, t), diffusion(plant, x),
-                      config.dt, dw)
+        try:
+            x = em_update(x, drift(plant, x, ev.u, t), diffusion(plant, x),
+                          config.dt, dw)
+        except OverflowError:            # plant functions that call math.exp
+            diverged, diverged_step = True, k
+            break
         adaptive = adaptive.euler(ev.rates, config.dt)
 
     return TrajectoryRecord(times[:kept], states[:kept], controls[:kept],

@@ -26,10 +26,11 @@ class TrajectoryRecord:
 
     * the magnitude guard (a state, an estimate or the control beyond
       ``DIVERGENCE_LIMIT``, or non-finite) keeps sample k, so
-      ``diverged_step == len(record) - 1``;
-    * a controller error at step k (singular gain, non-finite derivative)
-      leaves no control for that step, so sample k is not kept and
-      ``diverged_step == len(record)``.
+      ``diverged_step == len(record) - 1``; so does an ``OverflowError`` in
+      the plant's drift or diffusion at sample k, which leaves no next state;
+    * a controller error at step k (singular gain, non-finite derivative,
+      ``OverflowError``) leaves no control for that step, so sample k is not
+      kept and ``diverged_step == len(record)``.
     """
 
     times: np.ndarray

@@ -1,7 +1,8 @@
 import numpy as np
 
-from ancsim.autodiff import (jabs, jcos, jexp, jsin, jsum, jtanh, variable,
+from ancsim.autodiff import (Jet, jabs, jcos, jexp, jsin, jsum, jtanh, variable,
                              variable_block)
+from ancsim.rng import derive_stream
 
 
 def fd(f, x, h=1e-6):
@@ -94,3 +95,32 @@ def test_python_float_fallbacks():
     assert jtanh(np.array([0.1, 0.2])).shape == (2,)
     assert jabs(-2.0) == 2.0
     assert jsum(np.array([1.0, 2.0])) == 3.0
+
+
+def test_plain_array_times_jet_is_a_jet():
+    # numpy defers to the jet, so a plain weight array times a basis jet is
+    # one array-valued jet, not an object array of scalar jets
+    w = np.array([1.0, -2.0, 0.5])
+    s = jsin(variable(0.6, 0, 1, 1) - np.array([0.0, 0.1, 0.2]))
+    for prod in (w * s, s * w, np.float64(2.0) * s):
+        assert isinstance(prod, Jet)
+    assert np.array_equal((w * s).grad, (s * w).grad)
+
+
+def test_jsum_gradient_column_does_not_depend_on_jet_width():
+    # the level-1 jet used to tag 32 variables and now tags x_1 alone; the
+    # x_1 column of a sum over 27 basis terms must come out bit for bit the
+    # same, which np.sum does not guarantee (pairwise for one column, row by
+    # row for many) at most of these points
+    stream = derive_stream(41, 0)
+    centers = np.linspace(-1.5, 1.5, 27)
+    weights = stream.uniform(27, -1.0, 1.0)
+    for x0 in stream.uniform(50, -2.0, 2.0):
+        sums = []
+        for m in (32, 1):
+            x = variable(x0, 0, m, 1)
+            terms = weights * jexp(-((x - centers) * (x - centers)) / 0.64)
+            sums.append(jsum(terms))
+        wide, narrow = sums
+        assert wide.grad[0] == narrow.grad[0]
+        assert wide.val == narrow.val and np.array_equal(wide.hess, narrow.hess)

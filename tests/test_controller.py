@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from ancsim import controller
+from ancsim.config import load_bundled
 from ancsim.controller import (AdaptiveState, GainConfig, SingularGainError,
                                StepEstimates, StepGains, adaptive_rates,
                                alpha_1, compute_scratch, forward_pass,
@@ -219,6 +221,106 @@ def test_scratch_estimate_partials_match_linearity(section4_config, zero_estimat
         w11 = Phi1 * math.tanh(z3 * Phi1 / cfg.gains[0].eps1)
         assert abs(sc.d_p[0][0] - (-w11 / g1)) < 1e-12
         assert np.allclose(sc.d_vartheta[0], 0.0)   # step-1 envelope is zero
+
+
+ESTIMATE_BLOCKS = ("vartheta_hat", "p_hat", "eps_hat", "W_hat")
+
+
+def fd_estimate_partials(alpha_of, adaptive, j, h=1e-5):
+    """Central differences of ``alpha_of(estimates)`` in each entry of step
+    j's estimate blocks, in (vartheta, p, eps, W) order."""
+    out = []
+    for attr in ESTIMATE_BLOCKS:
+        size = np.size(getattr(adaptive.steps[j], attr))
+        part = np.empty(size)
+        for k in range(size):
+            ends = []
+            for delta in (h, -h):
+                moved = adaptive.copy()
+                if attr == "eps_hat":
+                    moved.steps[j].eps_hat += delta
+                else:
+                    getattr(moved.steps[j], attr)[k] += delta
+                ends.append(alpha_of(moved))
+            part[k] = (ends[0] - ends[1]) / (2.0 * h)
+        out.append(part)
+    return out
+
+
+def assert_own_step_partials(x, adaptive, cfg_parts, j, alpha_of):
+    """Both scratch modes' step-j estimate partials of alpha_j (closed form)
+    against central differences of alpha_j itself."""
+    gains, plant, nets = cfg_parts
+    fd = fd_estimate_partials(alpha_of, adaptive, j)
+    for mode in ("dual", "numeric"):
+        sc = compute_scratch(j + 2, x, adaptive, gains, plant, nets, mode=mode)
+        closed = [sc.d_vartheta[j], sc.d_p[j], [sc.d_eps[j]], sc.d_W[j]]
+        for attr, c, f in zip(ESTIMATE_BLOCKS, closed, fd):
+            assert np.allclose(c, f, rtol=1e-7, atol=1e-9), (mode, attr, c, f)
+    return fd
+
+
+def test_scratch_estimate_partials_with_state_dependent_gain():
+    # remark1: g_1 = 1 + x_1^2 and a non-zero step-1 envelope, so every
+    # block of -(w2, w1, w0, S) / g_1 is non-trivial
+    cfg = load_bundled("remark1")
+    stream = derive_stream(24, 2)
+    for _ in range(3):
+        x = stream.uniform(2, -1.0, 1.0)
+        adaptive = random_estimates(stream)
+        fd = assert_own_step_partials(
+            x, adaptive, (cfg.gains, cfg.plant, cfg.networks), 0,
+            lambda a: alpha_1(x[0], a, cfg.gains, cfg.plant, cfg.networks))
+        # the envelope's second entry is identically zero in remark1
+        assert fd[0][0] != 0.0 and fd[1][0] != 0.0 and fd[2][0] != 0.0
+
+
+def test_third_order_own_step_partials_at_level_two():
+    # d alpha_2 / d(step-2 estimates) of the cascade, closed form in both
+    # modes, against central differences of alpha_2 from forward_pass
+    plant, nets, gains, _ = cascade3()
+    stream = derive_stream(24, 3)
+    adaptive = AdaptiveState([
+        StepEstimates(stream.uniform(1, -1, 1), stream.uniform(i, 0, 1),
+                      float(stream.uniform(1, -0.5, 0.5)[0]), stream.uniform(6, -1, 1))
+        for i in (1, 2, 3)])
+    x = np.array([0.3, -0.2, 0.1])
+    fd = assert_own_step_partials(
+        x, adaptive, (gains, plant, nets), 1,
+        lambda a: forward_pass(x, a, gains, plant, nets).alphas[1])
+    assert fd[2][0] != 0.0 and np.all(fd[3] != 0.0)
+
+
+def test_level1_jet_tags_x1_only(section4_config, monkeypatch):
+    # the estimates enter the jet pass as plain numbers: every jet has one
+    # gradient and one Hessian column
+    cfg = section4_config
+    widths = []
+    real = controller.variable
+
+    def recording(val, index, m, mx):
+        widths.append((m, mx))
+        return real(val, index, m, mx)
+    monkeypatch.setattr(controller, "variable", recording)
+    adaptive = random_estimates(derive_stream(24, 4))
+    compute_scratch(2, [0.4, -0.3], adaptive, cfg.gains, cfg.plant, cfg.networks)
+    forward_pass(np.array([0.4, -0.3]), adaptive, cfg.gains, cfg.plant, cfg.networks)
+    assert widths and set(widths) == {(1, 1)}
+
+
+def test_level2_scratch_chain_evaluation_count(monkeypatch):
+    # 13 chain evaluations for the state gradient and Hessian plus two per
+    # step-1 estimate entry (1 + 1 + 1 + 6); the 10 step-2 entries take none
+    plant, nets, gains, est = cascade3()
+    calls = []
+    real = controller._chain_alpha_value
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+    monkeypatch.setattr(controller, "_chain_alpha_value", counting)
+    compute_scratch(3, [0.3, -0.2, 0.1], est, gains, plant, nets, mode="dual")
+    assert len(calls) == 31 and set(calls) == {2}
 
 
 def test_scratch_rejects_first_step():

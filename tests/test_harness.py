@@ -195,6 +195,39 @@ def test_controller_halt_drops_the_failing_step():
     assert all(len(ch) == 0 for ch in rec.diagnostics.values())
 
 
+# remark1 calls math.exp, which raises OverflowError for |x| > ~709: at
+# x2 = -800 in g2 = exp(-x2), at x1 = 800 in the step-2 envelope exp(x1)
+OVERFLOW_X0 = ([0.0, -800.0], [800.0, 0.0])
+
+
+@pytest.mark.parametrize("x0", OVERFLOW_X0)
+def test_controller_overflow_halts_the_run(x0):
+    cfg = load_bundled("remark1")
+    cfg.horizon = 0.1
+    cfg.x0 = np.array(x0)
+    rec = run_closed_loop(cfg, 0)
+    assert rec.diverged
+    assert rec.diverged_step == len(rec) == 0
+
+
+def test_plant_overflow_keeps_the_last_sample(section4_config, monkeypatch):
+    # an overflow in the drift at step 3 leaves no state for step 4; sample 3
+    # (state, control, diagnostics) was recorded, as under the guard
+    import ancsim.harness as harness
+    cfg = short(section4_config, horizon=0.1)
+    real = harness.drift
+
+    def overflowing(plant, x, u, t):
+        if t >= 3 * cfg.dt - 1e-12:
+            raise OverflowError("math range error")
+        return real(plant, x, u, t)
+    monkeypatch.setattr(harness, "drift", overflowing)
+    rec = run_closed_loop(cfg, 0)
+    assert rec.diverged
+    assert rec.diverged_step == len(rec) - 1 == 3
+    assert np.all(np.isfinite(rec.controls))
+
+
 def test_divergence_flagged_under_hostile_gains(section4_config):
     cfg = short(section4_config, horizon=2.0)
     cfg.x0 = np.array([3.0, -3.0])
@@ -383,6 +416,16 @@ def test_cli_bad_overrides_exit_one(tmp_path, capsys):
     assert "--seed" in err and "--run-index" in err
     assert main(["sweep", "--config", cfgp, "--runs", "0"]) == 1
     assert "--runs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("x0", OVERFLOW_X0)
+def test_cli_run_reports_overflow_without_traceback(tmp_path, capsys, x0):
+    cfgp = write_quick_config(tmp_path, plant={"preset": "remark1", "params": {}},
+                              x0=x0)
+    assert main(["run", "--config", cfgp]) == 2
+    out, err = capsys.readouterr()
+    assert "DIVERGED at step 0" in out
+    assert "Traceback" not in out + err
 
 
 def test_cli_run_reports_controller_halt(tmp_path, capsys):
