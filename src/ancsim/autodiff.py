@@ -1,13 +1,13 @@
-"""Forward-mode differentiation with second-order jets.
+"""Forward-mode differentiation in one variable, to second order.
 
-A :class:`Jet` carries a value, a gradient over ``m`` tagged variables and a
-Hessian over the first ``mx`` of them in a single forward pass.  Values may be
-scalars or 1-D arrays (the derivative axes trail the value axis), so whole
+A :class:`Jet` carries a value and its first and second derivatives in one
+tagged variable, ``d1 = d/dx`` and ``d2 = d^2/dx^2``: truncated univariate
+Taylor arithmetic at degree 2 (Griewank & Walther, *Evaluating Derivatives*,
+2nd ed., SIAM 2008, ch. 13).  Each field is a scalar or a 1-D array, so whole
 basis-function vectors propagate in one numpy operation.
 
-The split m/mx lets first derivatives cover more variables than second
-derivatives (say, parameters next to states).  The control recursion tags x_1
-alone (m = mx = 1): it takes its estimate partials in closed form.
+The control recursion tags x_1 alone: it needs d alpha_1/dx_1 and
+d^2 alpha_1/dx_1^2, and takes its estimate partials in closed form.
 """
 
 import math
@@ -15,66 +15,56 @@ import math
 import numpy as np
 
 __all__ = [
-    "Jet", "variable", "variable_block",
+    "Jet", "variable",
     "jsin", "jcos", "jexp", "jtanh", "jabs", "jsum",
 ]
 
 
-def _bmul(v, arr, nvar):
-    # Multiply a value (scalar or (k,)) into a derivative array whose last
-    # nvar axes are variable axes, broadcasting over the value axis.
-    if isinstance(v, np.ndarray) and v.ndim > 0:
-        return v.reshape(v.shape + (1,) * nvar) * arr
-    return v * arr
-
-
 class Jet:
-    __slots__ = ("val", "grad", "hess", "mx")
+    __slots__ = ("val", "d1", "d2")
 
     # numpy defers to the Jet's reflected operators, so ``array * jet`` is
     # ``jet.__rmul__(array)`` rather than an object array of per-entry products
     __array_ufunc__ = None
 
-    def __init__(self, val, grad, hess, mx):
+    def __init__(self, val, d1, d2):
         self.val = val
-        self.grad = grad
-        self.hess = hess
-        self.mx = mx
+        self.d1 = d1
+        self.d2 = d2
+
+    @property
+    def grad(self):
+        # d1 with a trailing variable axis of length 1; the traced benchmark
+        # reads the jet width as grad.shape[-1]
+        return np.expand_dims(self.d1, -1)
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, Jet):
-            return Jet(self.val + other.val, self.grad + other.grad,
-                       self.hess + other.hess, self.mx)
-        return Jet(self.val + other, self.grad, self.hess, self.mx)
+            return Jet(self.val + other.val, self.d1 + other.d1, self.d2 + other.d2)
+        return Jet(self.val + other, self.d1, self.d2)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, Jet):
-            return Jet(self.val - other.val, self.grad - other.grad,
-                       self.hess - other.hess, self.mx)
-        return Jet(self.val - other, self.grad, self.hess, self.mx)
+            return Jet(self.val - other.val, self.d1 - other.d1, self.d2 - other.d2)
+        return Jet(self.val - other, self.d1, self.d2)
 
     def __rsub__(self, other):
-        return Jet(other - self.val, -self.grad, -self.hess, self.mx)
+        return Jet(other - self.val, -self.d1, -self.d2)
 
     def __neg__(self):
-        return Jet(-self.val, -self.grad, -self.hess, self.mx)
+        return Jet(-self.val, -self.d1, -self.d2)
 
     def __mul__(self, other):
         if isinstance(other, Jet):
-            ga = self.grad[..., : self.mx]
-            gb = other.grad[..., : other.mx]
-            cross = ga[..., :, None] * gb[..., None, :]
-            hess = (_bmul(other.val, self.hess, 2) + _bmul(self.val, other.hess, 2)
-                    + cross + np.swapaxes(cross, -1, -2))
+            cross = self.d1 * other.d1
             return Jet(self.val * other.val,
-                       _bmul(other.val, self.grad, 1) + _bmul(self.val, other.grad, 1),
-                       hess, self.mx)
-        return Jet(self.val * other, _bmul(other, self.grad, 1),
-                   _bmul(other, self.hess, 2), self.mx)
+                       other.val * self.d1 + self.val * other.d1,
+                       other.val * self.d2 + self.val * other.d2 + cross + cross)
+        return Jet(self.val * other, other * self.d1, other * self.d2)
 
     __rmul__ = __mul__
 
@@ -97,29 +87,16 @@ class Jet:
     # -- chain rule for a scalar map with derivatives f1, f2 at self.val -----
 
     def _chain(self, f0, f1, f2):
-        gx = self.grad[..., : self.mx]
-        outer = gx[..., :, None] * gx[..., None, :]
-        return Jet(f0, _bmul(f1, self.grad, 1),
-                   _bmul(f1, self.hess, 2) + _bmul(f2, outer, 2), self.mx)
+        d1 = self.d1
+        return Jet(f0, f1 * d1, f1 * self.d2 + f2 * (d1 * d1))
 
     def __repr__(self):
-        return f"Jet(val={self.val!r}, m={np.shape(self.grad)[-1]}, mx={self.mx})"
+        return f"Jet(val={self.val!r}, d1={self.d1!r}, d2={self.d2!r})"
 
 
-def variable(val: float, index: int, m: int, mx: int) -> Jet:
-    """A scalar jet tagged as differentiation variable ``index`` of ``m``."""
-    grad = np.zeros(m)
-    grad[index] = 1.0
-    return Jet(float(val), grad, np.zeros((mx, mx)), mx)
-
-
-def variable_block(vals: np.ndarray, start: int, m: int, mx: int) -> Jet:
-    """An array-valued jet whose k-th entry is variable ``start + k``."""
-    vals = np.asarray(vals, dtype=float)
-    k = vals.shape[0]
-    grad = np.zeros((k, m))
-    grad[np.arange(k), start + np.arange(k)] = 1.0
-    return Jet(vals, grad, np.zeros((k, mx, mx)), mx)
+def variable(val: float) -> Jet:
+    """A scalar jet tagged as the differentiation variable."""
+    return Jet(float(val), 1.0, 0.0)
 
 
 # -- generic math: dispatches on Jet / ndarray / python scalar ---------------
@@ -164,11 +141,11 @@ def jabs(u):
 def jsum(u):
     """Sum an array-valued jet (or plain array) over its value axis.
 
-    The gradient is summed entry by entry in value order, so each of its
-    columns is the same at any jet width (``np.sum`` would sum a single
-    column pairwise but a wide gradient row by row).
+    ``d1`` is summed entry by entry in value order (a running sum), the
+    order the controller's golden digests were recorded with; ``np.sum``
+    sums pairwise and rounds differently.
     """
     if isinstance(u, Jet):
-        return Jet(np.sum(u.val, axis=0), np.cumsum(u.grad, axis=0)[-1],
-                   np.sum(u.hess, axis=0), u.mx)
+        return Jet(np.sum(u.val, axis=0), np.cumsum(u.d1, axis=0)[-1],
+                   np.sum(u.d2, axis=0))
     return np.sum(u, axis=0)

@@ -1,8 +1,10 @@
 """The traced benchmark wraps program functions by module and name.
 
 ``bench/workload.py:install_spans`` patches those names on the real modules;
-this test installs every span and removes it again, so it fails as soon as a
-change deletes or renames a name the benchmark relies on.
+these tests install every span and remove it again, so they fail as soon as
+a change deletes or renames a name the benchmark relies on, and run one
+traced controller evaluation, so they fail when the spans or the jet-width
+gauge stop reading what they expect of the program.
 """
 
 import sys
@@ -11,10 +13,12 @@ from pathlib import Path
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
 sys.path.insert(0, str(BENCH_DIR))
 
+import numpy as np  # noqa: E402
 import spans       # noqa: E402  (bench modules are imported from their directory)
 import workload    # noqa: E402
 
 from ancsim import controller, harness  # noqa: E402
+from ancsim.config import load_bundled  # noqa: E402
 from ancsim.controller import AdaptiveState  # noqa: E402
 
 
@@ -32,4 +36,23 @@ def test_install_spans_patches_and_restores_the_real_modules(tmp_path):
                    for owner, attr, original in tracer._patches)
     finally:
         tracer.restore()
+    assert [dict(vars(owner)) for owner in owners] == before
+
+
+def test_traced_forward_pass_feeds_the_jet_spans_and_gauge(tmp_path):
+    # one section4 controller evaluation under the benchmark's spans: the
+    # jet pass is timed once and the width gauge reads the one tagged x_1
+    cfg = load_bundled("section4")
+    owners = (harness, controller, AdaptiveState)
+    before = [dict(vars(owner)) for owner in owners]
+    tracer = spans.Tracer(str(tmp_path))
+    try:
+        workload.install_spans(tracer)
+        harness.forward_pass(np.array([0.4, -0.3]), cfg.initial_estimates, cfg.gains,
+                             cfg.plant, cfg.networks)
+    finally:
+        tracer.restore()
+    assert tracer.gauges["autodiff.jet_width"] == 1
+    assert tracer.stats["controller.jet_pass"].count == 1
+    assert tracer.stats["controller.forward_pass"].count == 1
     assert [dict(vars(owner)) for owner in owners] == before
