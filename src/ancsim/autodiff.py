@@ -143,9 +143,14 @@ def jsum(u):
 
     ``d1`` is summed entry by entry in value order (a running sum), the
     order the controller's golden digests were recorded with; ``np.sum``
-    sums pairwise and rounds differently.
+    sums pairwise and rounds differently.  A jet formed as ``jet +- array``
+    keeps scalar derivative fields; they count once per value entry.
     """
     if isinstance(u, Jet):
-        return Jet(np.sum(u.val, axis=0), np.cumsum(u.d1, axis=0)[-1],
-                   np.sum(u.d2, axis=0))
+        d1, d2 = u.d1, u.d2
+        if np.shape(d1) != np.shape(u.val):
+            d1 = np.broadcast_to(d1, np.shape(u.val))
+            d2 = np.broadcast_to(d2, np.shape(u.val))
+        return Jet(np.sum(u.val, axis=0), np.cumsum(d1, axis=0)[-1],
+                   np.sum(d2, axis=0))
     return np.sum(u, axis=0)

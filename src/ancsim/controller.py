@@ -32,11 +32,16 @@ Derivatives of alpha_{i-1} come from :func:`compute_scratch`.  alpha_{i-1}
 is affine in its own step's estimates and g_{i-1} does not depend on them, so
 d alpha_{i-1} / d(vartheta, p, eps, W)_{i-1} = -(w2, w1, w0, S) / g_{i-1}
 exactly, in both modes, from the regressors the adaptive laws use anyway.
-The state derivatives and the partials in earlier steps' estimates come in
-one of two modes: "dual" propagates a degree-2 Taylor jet in x_1 through
-step 1 (machine precision for the first recursion level, which covers
-second-order plants); "numeric" uses central differences with fixed relative
-steps.
+The earlier steps' estimates enter the law only through the sum of their
+partials times their rates: the time derivative of alpha_{i-1} along the
+adaptive laws of steps 1..i-2.  That sum is one central difference of
+alpha_{i-1} along the rate direction (the directional, or tangent, mode of
+Griewank & Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 3), two
+evaluations whatever the number of estimates.
+The state derivatives come in one of two modes: "dual" propagates a degree-2
+Taylor jet in x_1 through step 1 (machine precision for the first recursion
+level, which covers second-order plants); "numeric" uses central differences
+with fixed relative steps.
 Everything here is a pure function of (x, AdaptiveState, GainConfig); the
 closed-loop driver owns the single mutable AdaptiveState per run.
 """
@@ -136,23 +141,30 @@ class AdaptiveState:
         return AdaptiveState([s.copy() for s in self.steps])
 
     def euler(self, rates: List[StepRates], dt: float) -> "AdaptiveState":
-        out = []
-        for est, rate in zip(self.steps, rates):
-            out.append(StepEstimates(
-                est.vartheta_hat + dt * rate.vartheta_hat,
-                est.p_hat + dt * rate.p_hat,
-                est.eps_hat + dt * rate.eps_hat,
-                est.W_hat + dt * rate.W_hat,
-            ))
-        return AdaptiveState(out)
+        return AdaptiveState([_along(est, rate, dt)
+                              for est, rate in zip(self.steps, rates)])
+
+
+def _along(est: StepEstimates, rate: StepRates, s: float) -> StepEstimates:
+    """The estimates moved by s along the rates: est + s * rate, block by block."""
+    return StepEstimates(
+        est.vartheta_hat + s * rate.vartheta_hat,
+        est.p_hat + s * rate.p_hat,
+        est.eps_hat + s * rate.eps_hat,
+        est.W_hat + s * rate.W_hat,
+    )
 
 
 @dataclass
 class StepScratch:
     """Derivatives of alpha_{i-1} at the current point.
 
-    grad_x / hess_x cover x_1..x_{i-1}; the d_* lists hold the partials with
-    respect to each earlier step's estimate blocks.
+    grad_x / hess_x cover x_1..x_{i-1}.  The d_* lists hold one block: the
+    closed-form partials in step i-1's own estimates (one-element lists, so
+    that ``d_W[0]`` names that block).  est_flow is the sum over steps
+    1..i-2 of the partials in their estimates times their rates, the time
+    derivative of alpha_{i-1} along those steps' adaptive laws (0.0 for
+    i = 2, which has no earlier steps).
     """
 
     alpha: float
@@ -162,6 +174,7 @@ class StepScratch:
     d_p: List[np.ndarray]
     d_eps: List[float]
     d_W: List[np.ndarray]
+    est_flow: float
 
 
 @dataclass
@@ -294,12 +307,13 @@ def _step_quantities(i, xs, est, gains_i: StepGains, plant, net: RbfNetwork,
         terms = terms + 0.5 * float(np.sum(scratch.hess_x * coupling))
         for j in range(i - 1):
             terms = terms + scratch.grad_x[j] * plant.g[j](xs[: j + 1]) * xs[j + 1]
-        for j in range(i - 1):
-            r = rates_prev[j]
-            terms = terms + (float(scratch.d_vartheta[j] @ r.vartheta_hat)
-                             + float(scratch.d_p[j] @ r.p_hat)
-                             + scratch.d_eps[j] * r.eps_hat
-                             + float(scratch.d_W[j] @ r.W_hat))
+        if i >= 3:
+            terms = terms + scratch.est_flow
+        r = rates_prev[i - 2]
+        terms = terms + (float(scratch.d_vartheta[0] @ r.vartheta_hat)
+                         + float(scratch.d_p[0] @ r.p_hat)
+                         + scratch.d_eps[0] * r.eps_hat
+                         + float(scratch.d_W[0] @ r.W_hat))
     alpha = terms / g
 
     if debug_pairs is not None:
@@ -326,21 +340,43 @@ def _own_step_partials(q):
             -q["S"] * inv_g)
 
 
-def _chain_alpha_value(level, xs, adaptive: AdaptiveState, gains: GainConfig,
-                       plant, nets, inner_mode: str) -> dict:
-    """Run the recursion from step 1 on floats; returns step ``level``'s quantities."""
-    rates_prev = []
-    q = None
+def _steps_through(level, xs, adaptive: AdaptiveState, gains: GainConfig, plant,
+                   nets, mode: str, final_step: bool = False, debug_pairs=None):
+    """Steps 1..level at a float point.
+
+    Returns every step's quantities and the rates of steps 1..level-1.  In
+    dual mode with level >= 2 one jet pass evaluates step 1 and gives step
+    2's scratch; otherwise step i's scratch comes from :func:`compute_scratch`.
+    ``final_step`` applies to step ``level``.
+    """
+    qs, rates = [], []
+    scratch = None
     for i in range(1, level + 1):
-        scratch = None
         if i >= 2:
-            scratch = compute_scratch(i, xs, adaptive, gains, plant, nets,
-                                      mode=inner_mode)
-        q = _step_quantities(i, xs, adaptive.steps[i - 1], gains[i - 1], plant,
-                             nets[i - 1], scratch, rates_prev, final_step=False)
-        rates_prev.append(adaptive_rates(i, q["z"], q["w0"], q["w1"], q["w2"],
-                                         q["S"], adaptive.steps[i - 1], gains[i - 1]))
-    return q
+            q = qs[-1]
+            rates.append(adaptive_rates(i - 1, q["z"], q["w0"], q["w1"], q["w2"],
+                                        q["S"], adaptive.steps[i - 2], gains[i - 2]))
+        if i == 1 and level >= 2 and mode == "dual":
+            scratch, q = _scratch_first_level_jets(xs, adaptive, gains, plant, nets,
+                                                   debug_pairs)
+        else:
+            if i >= 2 and scratch is None:
+                scratch = compute_scratch(i, xs, adaptive, gains, plant, nets, mode=mode)
+            q = _step_quantities(i, xs, adaptive.steps[i - 1], gains[i - 1], plant,
+                                 nets[i - 1], scratch, rates,
+                                 final_step=final_step and i == level,
+                                 debug_pairs=debug_pairs)
+            scratch = None
+        qs.append(q)
+    return qs, rates
+
+
+def _chain_alpha_value(level, xs, adaptive: AdaptiveState, gains: GainConfig,
+                       plant, nets, inner_mode: str):
+    """Step ``level``'s quantities at a float point, and the rates of steps
+    1..level-1 (step ``level``'s own rates are not computed)."""
+    qs, rates = _steps_through(level, xs, adaptive, gains, plant, nets, inner_mode)
+    return qs[-1], rates
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +403,7 @@ def _scratch_first_level_jets(x, adaptive: AdaptiveState, gains: GainConfig,
         alpha=float(aj.val),
         grad_x=np.array([aj.d1], dtype=float),
         hess_x=np.array([[aj.d2]], dtype=float),
-        d_vartheta=[d_vt], d_p=[d_p], d_eps=[d_eps], d_W=[d_W],
+        d_vartheta=[d_vt], d_p=[d_p], d_eps=[d_eps], d_W=[d_W], est_flow=0.0,
     )
     return scratch, q
 
@@ -386,9 +422,10 @@ def _scratch_numeric(level, x, adaptive: AdaptiveState, gains: GainConfig,
 
     def f_x(xs):
         return _chain_alpha_value(level, xs, adaptive, gains, plant, nets,
-                                  inner_mode)["alpha"]
+                                  inner_mode)[0]["alpha"]
 
-    base = _chain_alpha_value(level, xs0, adaptive, gains, plant, nets, inner_mode)
+    base, rates = _chain_alpha_value(level, xs0, adaptive, gains, plant, nets,
+                                     inner_mode)
     alpha0 = base["alpha"]
     grad_x = np.empty(level)
     for j in range(level):
@@ -414,57 +451,54 @@ def _scratch_numeric(level, x, adaptive: AdaptiveState, gains: GainConfig,
                 pts.append(f_x(p))
             hess[j, k] = hess[k, j] = (pts[0] - pts[1] - pts[2] + pts[3]) / (4.0 * hs[j] * hs[k])
 
-    # earlier steps' estimates reach alpha_level through the recursion:
-    # central differences; its own step's estimates: closed form
-    per_step = [_fd_estimate_partials(level, xs0, adaptive, gains, plant, nets,
-                                      inner_mode, j) for j in range(level - 1)]
-    per_step.append(_own_step_partials(base))
-    d_vt, d_p, d_eps, d_W = (list(blocks) for blocks in zip(*per_step))
-
-    if not (np.isfinite(alpha0) and np.all(np.isfinite(grad_x)) and np.all(np.isfinite(hess))):
+    flow = _estimate_flow(level, xs0, adaptive, rates, gains, plant, nets, inner_mode)
+    if not (np.isfinite(alpha0) and np.all(np.isfinite(grad_x)) and np.all(np.isfinite(hess))
+            and np.isfinite(flow)):
         raise NonFiniteDerivative("non-finite derivative in numeric scratch")
-    return StepScratch(alpha0, grad_x, hess, d_vt, d_p, d_eps, d_W)
+    d_vt, d_p, d_eps, d_W = ([block] for block in _own_step_partials(base))
+    return StepScratch(alpha0, grad_x, hess, d_vt, d_p, d_eps, d_W, flow)
 
 
-def _fd_estimate_partials(level, xs, adaptive: AdaptiveState, gains: GainConfig,
-                          plant, nets, inner_mode: str, j: int):
-    """Central differences of alpha_level in step j+1's estimates.
+def _estimate_flow(level, xs, adaptive: AdaptiveState, rates, gains: GainConfig,
+                   plant, nets, inner_mode: str) -> float:
+    """Time derivative of alpha_level along the adaptive laws of steps
+    1..level-1, with step ``level``'s estimates held.
 
-    Returns (d_vartheta, d_p, d_eps, d_W), two chain evaluations per entry.
+    One central difference along the rates: those steps' estimates move
+    together to est +- h * rate, with h = FD_STEP_FIRST * max(1, |est|) / |rate|
+    (norms over the concatenated blocks).  A zero rate gives exactly 0.0.
     """
-    est = adaptive.steps[j]
-    blocks = []
-    for attr in ("vartheta_hat", "p_hat", "eps_hat", "W_hat"):
-        vals = np.atleast_1d(np.asarray(getattr(est, attr), dtype=float))
-        part = np.empty(vals.shape[0])
-        for k in range(vals.shape[0]):
-            h = FD_STEP_FIRST * max(1.0, abs(vals[k]))
-            ends = []
-            for delta in (h, -h):
-                moved = est.copy()
-                if attr == "eps_hat":
-                    moved.eps_hat += delta
-                else:
-                    getattr(moved, attr)[k] += delta
-                steps = list(adaptive.steps)
-                steps[j] = moved
-                ends.append(_chain_alpha_value(level, xs, AdaptiveState(steps), gains,
-                                               plant, nets, inner_mode)["alpha"])
-            part[k] = (ends[0] - ends[1]) / (2.0 * h)
-        blocks.append(part)
-    return blocks[0], blocks[1], float(blocks[2][0]), blocks[3]
+    earlier = adaptive.steps[: level - 1]
+    if not earlier:
+        return 0.0
+
+    def norm(blocks):
+        return float(np.linalg.norm(np.hstack(
+            [np.hstack((b.vartheta_hat, b.p_hat, b.eps_hat, b.W_hat)) for b in blocks])))
+    rate_norm = norm(rates)
+    if rate_norm == 0.0:
+        return 0.0
+    h = FD_STEP_FIRST * max(1.0, norm(earlier)) / rate_norm
+    held = adaptive.steps[level - 1:]
+    ends = []
+    for s in (h, -h):
+        moved = AdaptiveState([_along(e, r, s) for e, r in zip(earlier, rates)] + held)
+        ends.append(_chain_alpha_value(level, xs, moved, gains, plant, nets,
+                                       inner_mode)[0]["alpha"])
+    return (ends[0] - ends[1]) / (2.0 * h)
 
 
 def compute_scratch(i: int, x, adaptive: AdaptiveState, gains: GainConfig,
                     plant, nets, mode: str = "dual") -> StepScratch:
-    """Derivatives of alpha_{i-1} with respect to states and estimate blocks.
+    """Derivatives of alpha_{i-1} in the states and the estimates.
 
     The partials in step i-1's own estimates are exact in both modes (closed
     form, see :func:`_own_step_partials`).  mode "dual" runs a degree-2
     Taylor jet in x_1 (exact) for the first recursion level; for deeper
-    levels the state derivatives and the partials in earlier steps' estimates
-    chain central differences over evaluations whose inner scratches are
-    exact.  mode "numeric" uses central differences for all of those.
+    levels the state derivatives and the estimate flow of the earlier steps
+    (:func:`_estimate_flow`) chain central differences over evaluations whose
+    inner scratches are exact.  mode "numeric" uses central differences for
+    all of those.
     """
     if i < 2:
         raise ValueError("scratch is defined for steps i >= 2")
@@ -493,34 +527,15 @@ def forward_pass(x, adaptive: AdaptiveState, gains: GainConfig, plant, nets,
                  mode: str = "dual", debug: bool = False) -> ControlEval:
     """Evaluate the whole cascade once: z, alphas, u and all adaptive rates."""
     n = plant.n
-    xs = [float(v) for v in x]
-    rates: List[StepRates] = []
-    z = np.empty(n)
-    alphas = np.empty(max(n - 1, 0))
-    u = 0.0
     debug_pairs = [] if debug else None
-
-    scratch = None                   # derivatives of alpha_{i-1}, once known
-    for i in range(1, n + 1):
-        if i == 1 and n >= 2 and mode == "dual":
-            # one jet pass evaluates step 1 and differentiates alpha_1
-            scratch, q = _scratch_first_level_jets(xs, adaptive, gains, plant,
-                                                   nets, debug_pairs)
-        else:
-            if i >= 2 and scratch is None:
-                scratch = compute_scratch(i, xs, adaptive, gains, plant, nets,
-                                          mode=mode)
-            q = _step_quantities(i, xs, adaptive.steps[i - 1], gains[i - 1], plant,
-                                 nets[i - 1], scratch, rates,
-                                 final_step=(i == n), debug_pairs=debug_pairs)
-            scratch = None
-        z[i - 1] = q["z"]
-        if i == n:
-            u = float(q["alpha"])
-        else:
-            alphas[i - 1] = float(q["alpha"])
-        rates.append(adaptive_rates(i, q["z"], q["w0"], q["w1"], q["w2"],
-                                    q["S"], adaptive.steps[i - 1], gains[i - 1]))
+    qs, rates = _steps_through(n, [float(v) for v in x], adaptive, gains, plant, nets,
+                               mode, final_step=True, debug_pairs=debug_pairs)
+    last = qs[-1]
+    rates.append(adaptive_rates(n, last["z"], last["w0"], last["w1"], last["w2"],
+                                last["S"], adaptive.steps[n - 1], gains[n - 1]))
+    z = np.array([float(q["z"]) for q in qs])
+    alphas = np.array([float(q["alpha"]) for q in qs[:-1]])
+    u = float(last["alpha"])
 
     if debug_pairs:
         for v, eps in debug_pairs:

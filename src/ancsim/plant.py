@@ -27,7 +27,7 @@ from .rng import NormalStream
 __all__ = [
     "StrictFeedbackPlant", "AssumptionReport",
     "drift", "diffusion", "check_assumptions",
-    "preset_section4", "preset_remark", "PRESETS", "make_plant",
+    "preset_section4", "preset_remark", "preset_cascade3", "PRESETS", "make_plant",
 ]
 
 
@@ -209,7 +209,33 @@ def preset_remark(theta: Sequence[float] = (0.1, 0.1, 0.2, 0.2),
     )
 
 
-PRESETS = {"section4": preset_section4, "remark1": preset_remark}
+def preset_cascade3() -> StrictFeedbackPlant:
+    """Noise-free third-order cascade with unit gains and no disturbance.
+
+    The one bundled plant with a middle backstepping step, so the recursion
+    terms of steps 2 and 3 (estimate flow, second partials of alpha_2) run.
+    """
+    return StrictFeedbackPlant(
+        name="cascade3",
+        n=3, r=1, q=1,
+        g=[lambda xb: 1.0, lambda xb: 1.0, lambda xb: 1.0],
+        f=[lambda xb: 0.2 * math.sin(xb[0]),
+           lambda xb: 0.1 * xb[1] * math.cos(xb[0]),
+           lambda xb: 0.1 * xb[2]],
+        theta_star=np.zeros(1),
+        Psi=[lambda xb: np.zeros(1)] * 3,
+        Delta=[lambda x, t: 0.0] * 3,
+        phi=[lambda xb: [0.0]] * 3,
+        Phi_bound=[lambda xb: 0.0] * 3,
+        p_star=np.zeros(3),
+        varphi_bound=[lambda xb: [0.0]] * 3,
+        b_star=np.zeros((3, 1)),
+        domain_box=np.tile([-1.0, 1.0], (3, 1)),
+    )
+
+
+PRESETS = {"section4": preset_section4, "remark1": preset_remark,
+           "cascade3": preset_cascade3}
 
 
 def make_plant(name: str, **params) -> StrictFeedbackPlant:

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import ineq
 from .config import load_bundled
-from .controller import (AdaptiveState, StepEstimates, _fd_estimate_partials, alpha_1,
+from .controller import (FD_STEP_FIRST, AdaptiveState, StepEstimates, alpha_1,
                          compute_scratch, forward_pass)
 from .monitor import TruthNorms, empirical_drift, lambda_K, state_energy
 from .plant import check_assumptions, drift, preset_remark, preset_section4
@@ -187,11 +187,18 @@ def controller_structural_check() -> CheckResult:
 
 def derivative_agreement_check(states: int = 100, rtol_first: float = 1e-4,
                                rtol_second: float = 1e-2) -> CheckResult:
-    """At random states of both presets: dual against numeric state
-    derivatives, and both modes' step-1 estimate partials against central
-    differences of alpha_1."""
+    """Derivatives of the virtual controls against independent references.
+
+    At ``states`` random states of ``section4`` and ``remark1``: dual
+    against numeric state derivatives, and both modes' step-1 estimate
+    partials against per-entry central differences of alpha_1.  At 20 random
+    states of ``cascade3``: both modes' estimate flow against the per-entry
+    central differences of alpha_2 in the step-1 estimates dotted with the
+    step-1 rates, and the step-2 estimate partials against central
+    differences.
+    """
     stream = derive_stream(_SEED, 13)
-    worst1 = worst2 = worst_est = 0.0
+    worst1 = worst2 = worst_est = worst_flow = 0.0
     for cfg in (load_bundled("section4"), load_bundled("remark1")):
         for _ in range(states):
             x = stream.uniform(2, -2.0, 2.0)
@@ -208,15 +215,60 @@ def derivative_agreement_check(states: int = 100, rtol_first: float = 1e-4,
             worst2 = max(worst2, _rel(dual.hess_x, num.hess_x))
             # both modes share the closed form for these, so the reference is
             # central differences of alpha_1 rather than the other mode
-            fd = np.hstack(_fd_estimate_partials(1, [float(x[0])], adaptive, cfg.gains,
-                                                 cfg.plant, cfg.networks, "numeric", 0))
+            fd = _fd_estimate_partials(
+                lambda a: alpha_1(x[0], a, cfg.gains, cfg.plant, cfg.networks), adaptive, 0)
             for sc in (dual, num):
-                closed = np.hstack([sc.d_vartheta[0], sc.d_p[0], sc.d_eps[0], sc.d_W[0]])
-                worst_est = max(worst_est, _rel(closed, fd))
-    ok = worst1 < rtol_first and worst2 < rtol_second and worst_est < rtol_first
+                worst_est = max(worst_est, _rel(_own_block(sc), fd))
+    cfg = load_bundled("cascade3")
+    for _ in range(20):
+        x = stream.uniform(3, -1.0, 1.0)
+        adaptive = AdaptiveState([
+            StepEstimates(stream.uniform(1, -1.0, 1.0), stream.uniform(i, 0.0, 1.0),
+                          float(stream.uniform(1, -0.5, 0.5)[0]), stream.uniform(6, -1.0, 1.0))
+            for i in (1, 2, 3)])
+        ev = forward_pass(x, adaptive, cfg.gains, cfg.plant, cfg.networks)
+
+        def alpha_2(a):
+            return forward_pass(x, a, cfg.gains, cfg.plant, cfg.networks).alphas[1]
+        r1 = ev.rates[0]
+        flow = float(_fd_estimate_partials(alpha_2, adaptive, 0) @ np.hstack(
+            (r1.vartheta_hat, r1.p_hat, r1.eps_hat, r1.W_hat)))
+        own = _fd_estimate_partials(alpha_2, adaptive, 1)
+        for mode in ("dual", "numeric"):
+            sc = compute_scratch(3, x, adaptive, cfg.gains, cfg.plant, cfg.networks, mode=mode)
+            worst_flow = max(worst_flow, abs(sc.est_flow - flow) / max(1.0, abs(flow)))
+            worst_est = max(worst_est, _rel(_own_block(sc), own))
+    ok = (worst1 < rtol_first and worst2 < rtol_second and worst_est < rtol_first
+          and worst_flow < rtol_first)
     return _result("derivative_agreement", ok,
                    f"first_order={worst1:.2e} second_order={worst2:.2e} "
-                   f"estimates_vs_fd={worst_est:.2e}")
+                   f"estimates_vs_fd={worst_est:.2e} est_flow_vs_fd={worst_flow:.2e}")
+
+
+def _own_block(sc) -> np.ndarray:
+    return np.hstack([sc.d_vartheta[0], sc.d_p[0], sc.d_eps[0], sc.d_W[0]])
+
+
+def _fd_estimate_partials(alpha_of, adaptive: AdaptiveState, j: int) -> np.ndarray:
+    """Central differences of ``alpha_of(estimates)`` in each entry of step
+    j+1's estimates, (vartheta, p, eps, W) concatenated: two evaluations per
+    entry, the reference for the controller's closed forms and its flow."""
+    est = adaptive.steps[j]
+    parts = []
+    for attr in ("vartheta_hat", "p_hat", "eps_hat", "W_hat"):
+        for k in range(np.size(getattr(est, attr))):
+            value = float(np.atleast_1d(getattr(est, attr))[k])
+            h = FD_STEP_FIRST * max(1.0, abs(value))
+            ends = []
+            for delta in (h, -h):
+                moved = adaptive.copy()
+                if attr == "eps_hat":
+                    moved.steps[j].eps_hat += delta
+                else:
+                    getattr(moved.steps[j], attr)[k] += delta
+                ends.append(alpha_of(moved))
+            parts.append((ends[0] - ends[1]) / (2.0 * h))
+    return np.array(parts)
 
 
 def _rel(a, b) -> float:

@@ -115,6 +115,15 @@ def test_jsum_first_derivative_is_a_left_to_right_sum():
         assert jsum(terms).d1 == running
 
 
+def test_jsum_of_jet_plus_or_minus_array_counts_every_entry():
+    # jet +- array keeps scalar derivative fields; the sum has d/dx = k
+    points = np.array([0.0, 1.0, 2.0])
+    for u, d1 in ((variable(0.3) - points, 3.0), (variable(0.3) + points, 3.0),
+                  (points - variable(0.3), -3.0)):
+        s = jsum(u)
+        assert s.val == np.sum(u.val) and s.d1 == d1 and s.d2 == 0.0
+
+
 def test_grad_view_has_one_variable_axis():
     assert variable(0.3).grad.shape == (1,)
     s = jexp(variable(0.3) - np.array([0.0, 0.1]))

@@ -16,10 +16,12 @@ sys.path.insert(0, str(BENCH_DIR))
 import numpy as np  # noqa: E402
 import spans       # noqa: E402  (bench modules are imported from their directory)
 import workload    # noqa: E402
+from cascade3 import cascade3  # noqa: E402
 
 from ancsim import controller, harness  # noqa: E402
 from ancsim.config import load_bundled  # noqa: E402
-from ancsim.controller import AdaptiveState  # noqa: E402
+from ancsim.controller import AdaptiveState, forward_pass  # noqa: E402
+from ancsim.rng import derive_stream  # noqa: E402
 
 
 def test_install_spans_patches_and_restores_the_real_modules(tmp_path):
@@ -56,3 +58,20 @@ def test_traced_forward_pass_feeds_the_jet_spans_and_gauge(tmp_path):
     assert tracer.stats["controller.jet_pass"].count == 1
     assert tracer.stats["controller.forward_pass"].count == 1
     assert [dict(vars(owner)) for owner in owners] == before
+
+
+def test_bench_cascade3_is_the_bundled_preset():
+    # the benchmark builds its cascade in code; the bundled preset must give
+    # the same controller output bit for bit (same centers, same gains)
+    plant, nets, gains, est = cascade3()
+    cfg = load_bundled("cascade3")
+    stream = derive_stream(51, 0)
+    for _ in range(5):
+        x = stream.uniform(3, -1.0, 1.0)
+        ours = forward_pass(x, cfg.initial_estimates, cfg.gains, cfg.plant, cfg.networks)
+        theirs = forward_pass(x, est, gains, plant, nets)
+        assert ours.u == theirs.u
+        assert np.array_equal(ours.z, theirs.z) and np.array_equal(ours.alphas, theirs.alphas)
+        for a, b in zip(ours.rates, theirs.rates):
+            assert all(np.array_equal(getattr(a, f), getattr(b, f))
+                       for f in ("vartheta_hat", "p_hat", "eps_hat", "W_hat"))

@@ -250,13 +250,14 @@ def fd_estimate_partials(alpha_of, adaptive, j, h=1e-5):
 
 
 def assert_own_step_partials(x, adaptive, cfg_parts, j, alpha_of):
-    """Both scratch modes' step-j estimate partials of alpha_j (closed form)
-    against central differences of alpha_j itself."""
+    """Both scratch modes' step-j estimate partials of alpha_j (closed form,
+    the scratch's one own-step block) against central differences of alpha_j
+    itself."""
     gains, plant, nets = cfg_parts
     fd = fd_estimate_partials(alpha_of, adaptive, j)
     for mode in ("dual", "numeric"):
         sc = compute_scratch(j + 2, x, adaptive, gains, plant, nets, mode=mode)
-        closed = [sc.d_vartheta[j], sc.d_p[j], [sc.d_eps[j]], sc.d_W[j]]
+        closed = [sc.d_vartheta[0], sc.d_p[0], [sc.d_eps[0]], sc.d_W[0]]
         for attr, c, f in zip(ESTIMATE_BLOCKS, closed, fd):
             assert np.allclose(c, f, rtol=1e-7, atol=1e-9), (mode, attr, c, f)
     return fd
@@ -277,20 +278,75 @@ def test_scratch_estimate_partials_with_state_dependent_gain():
         assert fd[0][0] != 0.0 and fd[1][0] != 0.0 and fd[2][0] != 0.0
 
 
-def test_third_order_own_step_partials_at_level_two():
-    # d alpha_2 / d(step-2 estimates) of the cascade, closed form in both
-    # modes, against central differences of alpha_2 from forward_pass
-    plant, nets, gains, _ = cascade3()
-    stream = derive_stream(24, 3)
-    adaptive = AdaptiveState([
+def cascade3_estimates(stream):
+    return AdaptiveState([
         StepEstimates(stream.uniform(1, -1, 1), stream.uniform(i, 0, 1),
                       float(stream.uniform(1, -0.5, 0.5)[0]), stream.uniform(6, -1, 1))
         for i in (1, 2, 3)])
+
+
+def test_third_order_own_step_partials_at_level_two():
+    # d alpha_2 / d(step-2 estimates) of the cascade, closed form in both
+    # modes, against central differences of alpha_2 from forward_pass
+    cfg = load_bundled("cascade3")
+    gains, plant, nets = cfg.gains, cfg.plant, cfg.networks
+    adaptive = cascade3_estimates(derive_stream(24, 3))
     x = np.array([0.3, -0.2, 0.1])
     fd = assert_own_step_partials(
         x, adaptive, (gains, plant, nets), 1,
         lambda a: forward_pass(x, a, gains, plant, nets).alphas[1])
     assert fd[2][0] != 0.0 and np.all(fd[3] != 0.0)
+
+
+def test_estimate_flow_matches_per_entry_partials_times_rates():
+    # est_flow is d alpha_2/dt along the step-1 adaptive laws: the per-entry
+    # central differences of alpha_2 in the step-1 estimates, dotted with
+    # forward_pass's step-1 rates
+    cfg = load_bundled("cascade3")
+    gains, plant, nets = cfg.gains, cfg.plant, cfg.networks
+    stream = derive_stream(24, 5)
+    for _ in range(20):
+        x = stream.uniform(3, -1.0, 1.0)
+        adaptive = cascade3_estimates(stream)
+        ev = forward_pass(x, adaptive, gains, plant, nets)
+        fd = fd_estimate_partials(
+            lambda a: forward_pass(x, a, gains, plant, nets).alphas[1], adaptive, 0)
+        r1 = ev.rates[0]
+        ref = sum(float(np.dot(part, np.atleast_1d(getattr(r1, attr))))
+                  for attr, part in zip(ESTIMATE_BLOCKS, fd))
+        for mode in ("dual", "numeric"):
+            sc = compute_scratch(3, x, adaptive, gains, plant, nets, mode=mode)
+            assert abs(sc.est_flow - ref) <= 1e-5 * max(1.0, abs(ref)), (mode, sc.est_flow, ref)
+
+
+def test_estimate_flow_enters_the_control_law(monkeypatch):
+    # the step-3 law adds est_flow to its terms before dividing by g_3 = 1
+    cfg = load_bundled("cascade3")
+    adaptive = cascade3_estimates(derive_stream(24, 6))
+    x = np.array([0.3, -0.2, 0.1])
+    u = forward_pass(x, adaptive, cfg.gains, cfg.plant, cfg.networks).u
+    real = controller.compute_scratch
+
+    def shifted(i, *args, **kwargs):
+        sc = real(i, *args, **kwargs)
+        if i == 3:
+            sc.est_flow += 1.0
+        return sc
+    monkeypatch.setattr(controller, "compute_scratch", shifted)
+    shifted_u = forward_pass(x, adaptive, cfg.gains, cfg.plant, cfg.networks).u
+    assert abs(shifted_u - (u + 1.0)) <= 1e-12 * max(1.0, abs(u))
+
+
+def test_estimate_flow_vanishes_with_the_step1_rates():
+    # x_1 = 0 and zero step-1 estimates: z_1 = 0 and no leakage, so every
+    # step-1 rate is zero and so is the flow, exactly
+    cfg = load_bundled("cascade3")
+    adaptive = cascade3_estimates(derive_stream(24, 7))
+    adaptive.steps[0] = cfg.initial_estimates.steps[0].copy()
+    x = np.array([0.0, -0.4, 0.2])
+    for mode in ("dual", "numeric"):
+        sc = compute_scratch(3, x, adaptive, cfg.gains, cfg.plant, cfg.networks, mode=mode)
+        assert sc.est_flow == 0.0
 
 
 def test_level1_jet_tags_x1_only(section4_config, monkeypatch):
@@ -331,9 +387,10 @@ def test_level1_jet_tags_x1_only(section4_config, monkeypatch):
 
 
 def test_level2_scratch_chain_evaluation_count(monkeypatch):
-    # 13 chain evaluations for the state gradient and Hessian plus two per
-    # step-1 estimate entry (1 + 1 + 1 + 6); the 10 step-2 entries take none
-    plant, nets, gains, est = cascade3()
+    # 13 chain evaluations for the state gradient and Hessian plus two for
+    # the estimate flow along the step-1 rates; the step-2 partials take none
+    cfg = load_bundled("cascade3")
+    plant, nets, gains, est = cfg.plant, cfg.networks, cfg.gains, cfg.initial_estimates
     calls = []
     real = controller._chain_alpha_value
 
@@ -342,7 +399,7 @@ def test_level2_scratch_chain_evaluation_count(monkeypatch):
         return real(*args, **kwargs)
     monkeypatch.setattr(controller, "_chain_alpha_value", counting)
     compute_scratch(3, [0.3, -0.2, 0.1], est, gains, plant, nets, mode="dual")
-    assert len(calls) == 31 and set(calls) == {2}
+    assert len(calls) == 15 and set(calls) == {2}
 
 
 def test_scratch_rejects_first_step():
@@ -485,39 +542,9 @@ def test_singular_gain_raises():
 # third-order cascade: exercises the middle-step recursion
 # ---------------------------------------------------------------------------
 
-def cascade3():
-    plant = StrictFeedbackPlant(
-        name="cascade3", n=3, r=1, q=1,
-        g=[lambda xb: 1.0, lambda xb: 1.0, lambda xb: 1.0],
-        f=[lambda xb: 0.2 * math.sin(xb[0]),
-           lambda xb: 0.1 * xb[1] * math.cos(xb[0]),
-           lambda xb: 0.1 * xb[2]],
-        theta_star=np.zeros(1),
-        Psi=[lambda xb: np.zeros(1)] * 3,
-        Delta=[lambda x, t: 0.0] * 3,
-        phi=[lambda xb: [0.0]] * 3,
-        Phi_bound=[lambda xb: 0.0] * 3,
-        p_star=np.zeros(3),
-        varphi_bound=[lambda xb: [0.0]] * 3,
-        b_star=np.zeros((3, 1)),
-        domain_box=np.tile([-1.0, 1.0], (3, 1)))
-    nets = []
-    for i, dim in enumerate((1, 4, 6), start=1):
-        layout = CenterLayout("quasi-random", [(-1.5, 1.5)] * dim,
-                              total=6, layout_seed=i)
-        centers = make_centers(layout)
-        nets.append(RbfNetwork(dim, centers, 1.5, np.zeros(6)))
-    gains = GainConfig([
-        StepGains(1.0, 0.3 * np.eye(1), 0.3 * np.eye(i), 0.3,
-                  0.3 * np.eye(6), 0.3, 0.3, 0.3, 0.3, 0.3, 0.3, 0.3, 0.3)
-        for i in (1, 2, 3)])
-    est = AdaptiveState([StepEstimates(np.zeros(1), np.zeros(i), 0.0,
-                                       np.zeros(6)) for i in (1, 2, 3)])
-    return plant, nets, gains, est
-
-
 def test_third_order_forward_pass_and_scratch_consistency():
-    plant, nets, gains, est = cascade3()
+    cfg = load_bundled("cascade3")
+    plant, nets, gains, est = cfg.plant, cfg.networks, cfg.gains, cfg.initial_estimates
     x = np.array([0.3, -0.2, 0.1])
     ev = forward_pass(x, est, gains, plant, nets)
     assert np.all(np.isfinite(ev.z)) and np.isfinite(ev.u)
@@ -533,7 +560,8 @@ def test_third_order_forward_pass_and_scratch_consistency():
 
 
 def test_third_order_regulation_noise_free():
-    plant, nets, gains, est = cascade3()
+    cfg = load_bundled("cascade3")
+    plant, nets, gains, est = cfg.plant, cfg.networks, cfg.gains, cfg.initial_estimates
     x = np.array([0.3, -0.2, 0.1])
     dt = 5e-3
     for k in range(400):

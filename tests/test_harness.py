@@ -119,7 +119,7 @@ def test_output_dir_env_override(monkeypatch, tmp_path):
 
 
 def test_bundled_names():
-    assert bundled_preset_names() == ["remark1", "section4"]
+    assert bundled_preset_names() == ["cascade3", "remark1", "section4"]
 
 
 def test_load_config_from_file(tmp_path):
