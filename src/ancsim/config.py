@@ -10,7 +10,7 @@ import json
 import math
 import numbers
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from typing import List
 
@@ -58,7 +58,6 @@ class ExperimentConfig:
     output_dir: str
     csv_decimation: int = 10
     scratch_mode: str = "dual"
-    raw: dict = field(default_factory=dict)
 
     @property
     def n(self) -> int:
@@ -351,7 +350,7 @@ def parse_config(data: dict) -> ExperimentConfig:
                             gains=GainConfig(gain_steps), networks=nets,
                             initial_estimates=AdaptiveState(est_steps),
                             output_dir=output_dir, csv_decimation=decimation,
-                            scratch_mode=scratch_mode, raw=data)
+                            scratch_mode=scratch_mode)
 
 
 def load_config(path: str) -> ExperimentConfig:

@@ -28,9 +28,10 @@ from .rng import derive_stream, wiener_increments
 from .sde import DIVERGENCE_LIMIT, TrajectoryRecord, em_update
 
 __all__ = ["RunReport", "run_closed_loop", "monte_carlo", "emit_csv",
-           "emit_report", "csv_header", "csv_path"]
+           "emit_report", "columns", "csv_header", "csv_path"]
 
 EXCEEDANCE_LEVELS = (0.5, 1.0, 10.0)
+_ESTIMATE_KINDS = ("W{}_norm", "eps{}_hat", "p{}_norm", "vartheta{}_norm")
 
 
 @dataclass
@@ -87,19 +88,31 @@ def _fmt(v: float) -> str:
     return f"{float(v):.17g}"
 
 
+def columns(n: int) -> List[str]:
+    """The columns of a run's sample table and of its CSV: t, x, u, z, alpha,
+    the estimate norms (W, eps, p, vartheta, each by step) and Vx."""
+    steps = range(1, n + 1)
+    return (["t"] + [f"x{i}" for i in steps] + ["u"]
+            + [f"z{i}" for i in steps] + [f"alpha{i}" for i in range(1, n)]
+            + _estimate_columns(n) + ["Vx"])
+
+
+def _estimate_columns(n: int) -> List[str]:
+    return [kind.format(i) for kind in _ESTIMATE_KINDS for i in range(1, n + 1)]
+
+
 def csv_header(n: int) -> str:
-    return ",".join(["t"] + [f"x{i}" for i in range(1, n + 1)] + ["u"]
-                    + _diag_names(n))
+    return ",".join(columns(n))
 
 
 def run_closed_loop(config: ExperimentConfig, run_index: int) -> TrajectoryRecord:
     """One seeded trajectory of the controlled plant over [0, horizon].
 
     Integration halts (and the partial record is flagged diverged) when any
-    state or estimate magnitude exceeds the divergence limit, goes non-finite,
-    the controller hits a singular gain / non-finite derivative, or the
-    controller or the plant overflows (``OverflowError``); see
-    :class:`~ancsim.sde.TrajectoryRecord` for which samples a halted run keeps.
+    state or estimate magnitude exceeds the divergence limit or is not
+    finite, the control is not finite, the controller hits a singular gain /
+    non-finite derivative, or the controller or the plant overflows
+    (``OverflowError``); see :class:`~ancsim.sde.TrajectoryRecord`.
     """
     plant = config.plant
     n = plant.n
@@ -110,10 +123,10 @@ def run_closed_loop(config: ExperimentConfig, run_index: int) -> TrajectoryRecor
     x = config.x0.copy()
     adaptive = config.initial_estimates.copy()
 
-    times = np.empty(steps + 1)
-    states = np.empty((steps + 1, n))
-    controls = np.empty(steps + 1)
-    diag = {name: np.empty(steps + 1) for name in _diag_names(n)}
+    cols, est_cols = columns(n), _estimate_columns(n)
+    table = np.empty((steps + 1, len(cols)))
+    # the magnitude guard reads the state and estimate columns; u need only be finite
+    guarded = np.array([j for j, c in enumerate(cols) if c[0] == "x" or c in est_cols])
 
     diverged = False
     diverged_step: Optional[int] = None
@@ -126,12 +139,11 @@ def run_closed_loop(config: ExperimentConfig, run_index: int) -> TrajectoryRecor
         except (SingularGainError, NonFiniteDerivative, OverflowError):
             diverged, diverged_step = True, k
             break
-        times[k] = t
-        states[k] = x
-        controls[k] = ev.u
-        worst_est = _fill_diag(diag, k, ev, adaptive, n)
+        row = table[k]
+        row[0], row[1:n + 1], row[n + 1] = t, x, ev.u
+        _fill_diag(row, ev, adaptive, n)
         kept = k + 1
-        if not np.isfinite(ev.u) or _magnitudes_diverged(x, worst_est):
+        if not (np.isfinite(ev.u) and np.max(np.abs(row[guarded])) <= DIVERGENCE_LIMIT):
             diverged, diverged_step = True, k
             break
         if k == steps:
@@ -145,62 +157,34 @@ def run_closed_loop(config: ExperimentConfig, run_index: int) -> TrajectoryRecor
             break
         adaptive = adaptive.euler(ev.rates, config.dt)
 
-    return TrajectoryRecord(times[:kept], states[:kept], controls[:kept],
-                            {name: ch[:kept] for name, ch in diag.items()},
+    rows = table[:kept]
+    return TrajectoryRecord(rows[:, 0], rows[:, 1:n + 1], rows[:, n + 1],
+                            dict(zip(cols[n + 2:], rows[:, n + 2:].T)),
                             diverged=diverged, diverged_step=diverged_step)
 
 
-def _magnitudes_diverged(x: np.ndarray, worst_est: float) -> bool:
-    worst_x = float(np.max(np.abs(x)))
-    if np.isnan(worst_x) or np.isnan(worst_est):
-        return True
-    return worst_x > DIVERGENCE_LIMIT or worst_est > DIVERGENCE_LIMIT
-
-
-def _diag_names(n: int) -> List[str]:
-    names = [f"z{i}" for i in range(1, n + 1)]
-    names += [f"alpha{i}" for i in range(1, n)]
-    names += [f"W{i}_norm" for i in range(1, n + 1)]
-    names += [f"eps{i}_hat" for i in range(1, n + 1)]
-    names += [f"p{i}_norm" for i in range(1, n + 1)]
-    names += [f"vartheta{i}_norm" for i in range(1, n + 1)]
-    names.append("Vx")
-    return names
-
-
-def _fill_diag(diag, k, ev, adaptive: AdaptiveState, n: int) -> float:
-    """Record channels for one sample; returns the worst estimate norm seen."""
-    for i in range(n):
-        diag[f"z{i + 1}"][k] = ev.z[i]
-    for i in range(n - 1):
-        diag[f"alpha{i + 1}"][k] = ev.alphas[i]
-    worst = 0.0
-    for i, est in enumerate(adaptive.steps, start=1):
-        wn = float(np.sqrt(est.W_hat @ est.W_hat))
-        pn = float(np.sqrt(est.p_hat @ est.p_hat))
-        vn = float(np.sqrt(est.vartheta_hat @ est.vartheta_hat))
-        diag[f"W{i}_norm"][k] = wn
-        diag[f"eps{i}_hat"][k] = est.eps_hat
-        diag[f"p{i}_norm"][k] = pn
-        diag[f"vartheta{i}_norm"][k] = vn
-        worst = max(worst, wn, pn, vn, abs(est.eps_hat))
-    diag["Vx"][k] = state_energy(ev.z)
-    return worst
+def _fill_diag(row, ev, adaptive: AdaptiveState, n: int):
+    """Write one sample's z, alpha, estimate norms and Vx into its table row."""
+    row[n + 2:2 * n + 2] = ev.z
+    row[2 * n + 2:3 * n + 1] = ev.alphas
+    est = row[3 * n + 1:-1].reshape(len(_ESTIMATE_KINDS), n)
+    for i, s in enumerate(adaptive.steps):
+        est[:, i] = (np.sqrt(s.W_hat @ s.W_hat), s.eps_hat,
+                     np.sqrt(s.p_hat @ s.p_hat),
+                     np.sqrt(s.vartheta_hat @ s.vartheta_hat))
+    row[-1] = state_energy(ev.z)
 
 
 def emit_csv(record: TrajectoryRecord, path: str, n: int, decimation: int = 1):
     """Fixed-column CSV; 17-significant-digit values so parsing round-trips."""
-    rows = range(0, len(record.times), max(1, decimation))
+    chans = [record.times, *record.states.T, record.controls,
+             *(record.diagnostics[name] for name in columns(n)[n + 2:])]
+    line = ",".join(["%.17g"] * len(chans)) + "\n"
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(csv_header(n) + "\n")
-            for k in rows:
-                vals = [record.times[k]]
-                vals += list(record.states[k])
-                vals.append(record.controls[k])
-                for name in _diag_names(n):
-                    vals.append(record.diagnostics[name][k])
-                fh.write(",".join(_fmt(v) for v in vals) + "\n")
+            for k in range(0, len(record), max(1, decimation)):
+                fh.write(line % tuple([ch[k] for ch in chans]))
     except OSError as exc:
         raise OSError(f"cannot write CSV to {path}: {exc}") from exc
 
@@ -318,12 +302,8 @@ def summarize(config: ExperimentConfig, records: List[TrajectoryRecord],
 
 
 def _max_estimate_channel(record: TrajectoryRecord, n: int) -> float:
-    worst = 0.0
-    for i in range(1, n + 1):
-        for kind in ("W", "p", "vartheta"):
-            worst = max(worst, float(np.max(record.diagnostics[f"{kind}{i}_norm"])))
-        worst = max(worst, float(np.max(np.abs(record.diagnostics[f"eps{i}_hat"]))))
-    return worst
+    return float(np.max(np.abs([record.diagnostics[name]
+                                for name in _estimate_columns(n)])))
 
 
 def _drift_negative_above(records: List[TrajectoryRecord],

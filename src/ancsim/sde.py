@@ -21,11 +21,13 @@ DIVERGENCE_LIMIT = 1e6
 class TrajectoryRecord:
     """Time-indexed states plus named diagnostic channels for one seeded run.
 
-    All channels have equal length.  ``diverged`` flags a run that halted
+    All channels have equal length.  A closed-loop run fills them as column
+    views of one sample table, whose columns are
+    :func:`ancsim.harness.columns`.  ``diverged`` flags a run that halted
     early, and ``diverged_step`` is the step index k at which it halted:
 
-    * the magnitude guard (a state, an estimate or the control beyond
-      ``DIVERGENCE_LIMIT``, or non-finite) keeps sample k, so
+    * the guard (a state or an estimate norm beyond ``DIVERGENCE_LIMIT`` or
+      not finite, NaN included, or a non-finite control) keeps sample k, so
       ``diverged_step == len(record) - 1``; so does an ``OverflowError`` in
       the plant's drift or diffusion at sample k, which leaves no next state;
     * a controller error at step k (singular gain, non-finite derivative,

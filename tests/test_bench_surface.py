@@ -14,7 +14,8 @@ BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
 sys.path.insert(0, str(BENCH_DIR))
 
 import numpy as np  # noqa: E402
-import spans       # noqa: E402  (bench modules are imported from their directory)
+import checks      # noqa: E402  (bench modules are imported from their directory)
+import spans       # noqa: E402
 import workload    # noqa: E402
 from cascade3 import cascade3  # noqa: E402
 
@@ -75,3 +76,9 @@ def test_bench_cascade3_is_the_bundled_preset():
         for a, b in zip(ours.rates, theirs.rates):
             assert all(np.array_equal(getattr(a, f), getattr(b, f))
                        for f in ("vartheta_hat", "p_hat", "eps_hat", "W_hat"))
+
+
+def test_sample_columns_are_the_benchmark_csv_columns():
+    # the benchmark writes its expected CSV columns out on its own
+    for n in (2, 3):
+        assert harness.columns(n) == checks.csv_columns(n)

@@ -10,6 +10,7 @@ from ancsim.config import (ConfigError, bundled_preset_names,
                            parse_config)
 from ancsim.harness import (csv_header, csv_path, emit_csv, monte_carlo,
                             run_closed_loop, summarize)
+from ancsim.monitor import state_energy
 from ancsim.sde import TrajectoryRecord
 
 
@@ -171,6 +172,26 @@ def test_same_seed_reproduces_exactly(section4_config):
     assert np.array_equal(a.controls, b.controls)
 
 
+@pytest.mark.parametrize("name", ["section4", "cascade3"])
+def test_record_columns_hold_their_quantities(name):
+    # each named channel reads its own slot of the sample row, for n = 2 and 3
+    cfg = load_bundled(name)
+    cfg.horizon = 5 * cfg.dt
+    rec = run_closed_loop(cfg, 0)
+    d, n = rec.diagnostics, cfg.n
+    assert np.array_equal(d["z1"], rec.states[:, 0])
+    for i in range(1, n):
+        assert np.allclose(d[f"z{i + 1}"], rec.states[:, i] - d[f"alpha{i}"],
+                           rtol=1e-12, atol=1e-15)
+    z = np.column_stack([d[f"z{i}"] for i in range(1, n + 1)])
+    assert np.array_equal(d["Vx"], np.array([state_energy(row) for row in z]))
+    for i, est in enumerate(cfg.initial_estimates.steps, start=1):
+        assert d[f"W{i}_norm"][0] == np.linalg.norm(est.W_hat)
+        assert d[f"eps{i}_hat"][0] == est.eps_hat
+        assert d[f"p{i}_norm"][0] == np.linalg.norm(est.p_hat)
+        assert d[f"vartheta{i}_norm"][0] == np.linalg.norm(est.vartheta_hat)
+
+
 def test_guard_halt_keeps_the_offending_sample(section4_config):
     # a state beyond the divergence limit trips the magnitude guard at step 0;
     # the controller itself stays finite there (x1 = 0)
@@ -228,6 +249,29 @@ def test_plant_overflow_keeps_the_last_sample(section4_config, monkeypatch):
     assert np.all(np.isfinite(rec.controls))
 
 
+def test_nan_estimate_halts_the_run_at_its_own_sample(section4_config,
+                                                     monkeypatch):
+    # p2_hat[1] turns NaN in the estimates of sample 10; the guard must stop
+    # there, not one step later when the control it feeds goes NaN
+    from ancsim.controller import AdaptiveState
+    cfg = short(section4_config, horizon=0.1)
+    real = AdaptiveState.euler
+    calls = []
+
+    def poisoned(self, rates, dt):
+        new = real(self, rates, dt)
+        calls.append(len(calls))
+        if len(calls) == 10:
+            new.steps[1].p_hat[1] = np.nan
+        return new
+    monkeypatch.setattr(AdaptiveState, "euler", poisoned)
+    rec = run_closed_loop(cfg, 0)
+    assert rec.diverged
+    assert rec.diverged_step == 10 == len(rec) - 1
+    assert np.isnan(rec.diagnostics["p2_norm"][-1])
+    assert np.all(np.isfinite(rec.controls))
+
+
 def test_divergence_flagged_under_hostile_gains(section4_config):
     cfg = short(section4_config, horizon=2.0)
     cfg.x0 = np.array([3.0, -3.0])
@@ -272,6 +316,22 @@ def test_csv_roundtrip_and_decimation(section4_config, tmp_path):
     emit_csv(rec, path, cfg.n, decimation=10)
     dec = np.loadtxt(path, delimiter=",", skiprows=1)
     assert dec.shape == (11, 16)
+
+
+@pytest.mark.parametrize("decimation", [1, 10])
+def test_csv_holds_the_record_bit_for_bit(section4_config, tmp_path, decimation):
+    # every column, diagnostics included, parses back to the in-memory double
+    cfg = short(section4_config, horizon=0.1)
+    rec = run_closed_loop(cfg, 0)
+    path = str(tmp_path / "run.csv")
+    emit_csv(rec, path, cfg.n, decimation=decimation)
+    with open(path) as fh:
+        names = fh.readline().rstrip("\n").split(",")
+        back = np.array([[float(v) for v in line.split(",")] for line in fh])
+    mem = np.column_stack([rec.times, rec.states, rec.controls]
+                          + [rec.diagnostics[c] for c in names[cfg.n + 2:]])
+    assert back.shape == mem[::decimation].shape
+    assert np.array_equal(back.view(np.uint64), mem[::decimation].view(np.uint64))
 
 
 def test_empty_record_gives_header_only(tmp_path):
