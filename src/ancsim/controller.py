@@ -43,7 +43,15 @@ Taylor jet in x_1 through step 1 (machine precision for the first recursion
 level, which covers second-order plants); "numeric" uses central differences
 with fixed relative steps.
 Everything here is a pure function of (x, AdaptiveState, GainConfig); the
-closed-loop driver owns the single mutable AdaptiveState per run.
+closed-loop driver owns the single mutable AdaptiveState per batch of runs.
+
+Every array carries optional leading batch axes: a state is (n,) or (..., n),
+an estimate block (k,) or (..., k), and the code indexes with ``[..., j]`` and
+reduces over the last axis only, so one call evaluates a batch of runs (or a
+difference stencil's points) with the same rounding as one point at a time.
+A row whose evaluation fails -- a gain below the floor, a non-finite
+derivative, or a designer-known plant function overflowing -- is flagged in
+``failed`` instead of raising, so the other rows carry on.
 """
 
 from dataclasses import dataclass
@@ -51,13 +59,13 @@ from typing import List, Optional
 
 import numpy as np
 
-from .autodiff import Jet, jsum, jtanh, variable
+from .autodiff import Jet, jabs, jpow, jsum, jtanh, stack_entries, variable
 from .ineq import TANH_ABSORPTION_DELTA, tanh_absorption_gap
 from .rbf import RbfNetwork, basis_components
 
 __all__ = [
     "StepGains", "GainConfig", "StepEstimates", "StepRates", "AdaptiveState",
-    "StepScratch", "ControlEval", "SingularGainError", "NonFiniteDerivative",
+    "StepScratch", "ControlEval",
     "nn_input", "tanh_bound_terms", "adaptive_rates",
     "alpha_1", "compute_scratch", "forward_pass",
 ]
@@ -71,14 +79,6 @@ GAIN_FLOOR = 1e-9
 # Central-difference steps, relative to max(1, |coordinate|).
 FD_STEP_FIRST = 1e-5
 FD_STEP_SECOND = 1e-3
-
-
-class SingularGainError(RuntimeError):
-    """|g_i| fell below the gain floor at the evaluation point."""
-
-
-class NonFiniteDerivative(RuntimeError):
-    """A scratch derivative came out NaN/Inf; the run should be tagged diverged."""
 
 
 @dataclass
@@ -113,14 +113,14 @@ class GainConfig:
 
 @dataclass
 class StepEstimates:
-    vartheta_hat: np.ndarray         # (q,)
-    p_hat: np.ndarray                # (i,)
-    eps_hat: float
-    W_hat: np.ndarray                # (l_i,)
+    vartheta_hat: np.ndarray         # (..., q)
+    p_hat: np.ndarray                # (..., i)
+    eps_hat: float                   # (...)
+    W_hat: np.ndarray                # (..., l_i)
 
     def copy(self) -> "StepEstimates":
         return StepEstimates(self.vartheta_hat.copy(), self.p_hat.copy(),
-                             float(self.eps_hat), self.W_hat.copy())
+                             np.array(self.eps_hat, dtype=float), self.W_hat.copy())
 
 
 @dataclass
@@ -145,13 +145,15 @@ class AdaptiveState:
                               for est, rate in zip(self.steps, rates)])
 
 
-def _along(est: StepEstimates, rate: StepRates, s: float) -> StepEstimates:
-    """The estimates moved by s along the rates: est + s * rate, block by block."""
+def _along(est: StepEstimates, rate: StepRates, s) -> StepEstimates:
+    """The estimates moved by s along the rates: est + s * rate, block by
+    block; s is a number or one per batch row."""
+    sv = np.asarray(s)[..., None]
     return StepEstimates(
-        est.vartheta_hat + s * rate.vartheta_hat,
-        est.p_hat + s * rate.p_hat,
+        est.vartheta_hat + sv * rate.vartheta_hat,
+        est.p_hat + sv * rate.p_hat,
         est.eps_hat + s * rate.eps_hat,
-        est.W_hat + s * rate.W_hat,
+        est.W_hat + sv * rate.W_hat,
     )
 
 
@@ -164,27 +166,30 @@ class StepScratch:
     that ``d_W[0]`` names that block).  est_flow is the sum over steps
     1..i-2 of the partials in their estimates times their rates, the time
     derivative of alpha_{i-1} along those steps' adaptive laws (0.0 for
-    i = 2, which has no earlier steps).
+    i = 2, which has no earlier steps).  ``failed`` flags the rows where
+    these are not finite or an evaluation behind them failed.
     """
 
     alpha: float
-    grad_x: np.ndarray               # (i-1,)
-    hess_x: np.ndarray               # (i-1, i-1)
+    grad_x: np.ndarray               # (..., i-1)
+    hess_x: np.ndarray               # (..., i-1, i-1)
     d_vartheta: List[np.ndarray]
     d_p: List[np.ndarray]
     d_eps: List[float]
     d_W: List[np.ndarray]
     est_flow: float
+    failed: np.ndarray               # (...) bool
 
 
 @dataclass
 class ControlEval:
-    """One full forward evaluation of the controller at a state."""
+    """One full forward evaluation of the controller at a state (or a batch)."""
 
-    z: np.ndarray
-    alphas: np.ndarray               # alpha_1..alpha_{n-1}
-    u: float
+    z: np.ndarray                    # (..., n)
+    alphas: np.ndarray               # (..., n-1): alpha_1..alpha_{n-1}
+    u: float                         # (...)
     rates: List[StepRates]
+    failed: np.ndarray               # (...) bool: no control for this row
 
 
 def _val(x):
@@ -203,7 +208,8 @@ def nn_input(i: int, x, alpha_prev=None, grad_prev=None):
     """
     if i == 1:
         return [x[0]]
-    return list(x[:i]) + [alpha_prev] + list(grad_prev)
+    grad = np.asarray(grad_prev)
+    return list(x[:i]) + [alpha_prev] + [grad[..., j] for j in range(i - 1)]
 
 
 def tanh_bound_terms(i, z_i, Phi_stack, varphi_stack, est: StepEstimates,
@@ -232,25 +238,40 @@ def _smoothed(z3, v, eps):
 
 
 def _dot_seq(coeffs, terms):
+    """sum_j coeffs_j terms_j in entry order, literal 0.0 terms skipped;
+    ``coeffs`` is a list or an array with the entries on its last axis."""
     acc = 0.0
-    for c, tm in zip(coeffs, terms):
+    for j, tm in enumerate(terms):
         if type(tm) is float and tm == 0.0:
             continue
+        c = coeffs[j] if isinstance(coeffs, list) else coeffs[..., j]
         acc = acc + c * tm
     return acc
+
+
+def _gain(G: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Gamma v over the last axis of v.  A diagonal Gamma is applied
+    elementwise (the bits of the matrix product, at O(l) per row); a full
+    one by a row reduction in a fixed order."""
+    d = np.diagonal(G)
+    if np.count_nonzero(G) == np.count_nonzero(d):
+        return d * v
+    return (G * v[..., None, :]).sum(axis=-1)
 
 
 def adaptive_rates(i: int, z_i: float, w0, w1, w2, S_i: np.ndarray,
                    est: StepEstimates, gains_i: StepGains) -> StepRates:
     """Leaky update rates: rate = Gamma (z^3 s - sigma * estimate)."""
-    z3 = z_i ** 3
+    z3 = np.asarray(z_i * z_i * z_i)
+    shape = z3.shape
+    z3v = z3[..., None]
     return StepRates(
-        vartheta_hat=gains_i.Gamma_vartheta @ (z3 * np.asarray(w2, dtype=float)
-                                               - gains_i.sigma_vartheta * est.vartheta_hat),
-        p_hat=gains_i.Gamma_p @ (z3 * np.asarray(w1, dtype=float)
-                                 - gains_i.sigma_p * est.p_hat),
+        vartheta_hat=_gain(gains_i.Gamma_vartheta, z3v * stack_entries(w2, shape)
+                           - gains_i.sigma_vartheta * est.vartheta_hat),
+        p_hat=_gain(gains_i.Gamma_p, z3v * stack_entries(w1, shape)
+                    - gains_i.sigma_p * est.p_hat),
         eps_hat=gains_i.gamma_eps * (z3 * w0 - gains_i.sigma_eps * est.eps_hat),
-        W_hat=gains_i.Gamma_w @ (z3 * S_i - gains_i.sigma_w * est.W_hat),
+        W_hat=_gain(gains_i.Gamma_w, z3v * S_i - gains_i.sigma_w * est.W_hat),
     )
 
 
@@ -261,32 +282,40 @@ def adaptive_rates(i: int, z_i: float, w0, w1, w2, S_i: np.ndarray,
 def _step_quantities(i, xs, est, gains_i: StepGains, plant, net: RbfNetwork,
                      scratch: Optional[StepScratch], rates_prev, final_step: bool,
                      debug_pairs=None):
-    """All step-i quantities at a point; xs entries may be jets for i == 1."""
+    """All step-i quantities at a point (or a batch of points); xs holds the
+    state components, jets for i == 1 in the dual jet pass."""
     xbar = xs[:i]
     if i == 1:
         z = xs[0]
         Phi_stack = [plant.Phi_bound[0](xbar)]
         varphi_stack = list(plant.varphi_bound[0](xbar))
-        rho = list(plant.phi[0](xbar))
+        phis = [list(plant.phi[0](xbar))]
+        designer = Phi_stack + varphi_stack
         Z = nn_input(1, xs)
     else:
         a = scratch
+        grad = [a.grad_x[..., j] for j in range(i - 1)]
         z = xs[i - 1] - a.alpha
-        Phi_stack = [a.grad_x[j] * plant.Phi_bound[j](xs[: j + 1]) for j in range(i - 1)]
-        Phi_stack.append(plant.Phi_bound[i - 1](xbar))
-        varphi_stack = list(plant.varphi_bound[i - 1](xbar))
+        Phis = [plant.Phi_bound[j](xs[: j + 1]) for j in range(i)]
+        Phi_stack = [grad[j] * Phis[j] for j in range(i - 1)] + [Phis[-1]]
+        envs = [list(plant.varphi_bound[j](xs[: j + 1])) for j in range(i)]
+        varphi_stack = envs[-1]
         for j in range(i - 1):
-            env_j = plant.varphi_bound[j](xs[: j + 1])
-            varphi_stack = [vk + a.grad_x[j] * ek for vk, ek in zip(varphi_stack, env_j)]
-        rho = list(plant.phi[i - 1](xbar))
-        for j in range(i - 1):
-            phi_j = plant.phi[j](xs[: j + 1])
-            rho = [rk - a.grad_x[j] * pk for rk, pk in zip(rho, phi_j)]
+            varphi_stack = [vk + grad[j] * ek for vk, ek in zip(varphi_stack, envs[j])]
+        phis = [list(plant.phi[j](xs[: j + 1])) for j in range(i)]
+        designer = Phis + [e for env in envs for e in env]
         Z = nn_input(i, xs, a.alpha, a.grad_x)
+    rho = phis[-1]
+    for j in range(i - 1):
+        rho = [rk - grad[j] * pk for rk, pk in zip(rho, phis[j])]
 
     g = plant.g[i - 1](xbar)
-    if abs(_val(g)) < GAIN_FLOOR:
-        raise SingularGainError(f"|g_{i}| = {abs(_val(g)):.3e} below gain floor")
+    gv = _val(g)
+    # An overflowing designer-known function (exp of a large state, where
+    # math.exp raised) fails its row, as a singular gain does.  One isfinite
+    # of their sum covers them all: a sum is finite only if every term is.
+    total = gv + sum(_val(v) for v in designer + [e for phi in phis for e in phi])
+    failed = (np.abs(gv) < GAIN_FLOOR) | ~np.isfinite(total)
 
     beta0, beta1, beta2, w0, w1, w2 = tanh_bound_terms(i, z, Phi_stack,
                                                        varphi_stack, est, gains_i)
@@ -298,32 +327,36 @@ def _step_quantities(i, xs, est, gains_i: StepGains, plant, net: RbfNetwork,
 
     terms = (-gains_i.c * z - beta0 - beta1 - beta2 - nn_out - diffusion_comp)
     if not final_step:
-        terms = terms - 0.75 * ((g * g) ** (2.0 / 3.0)) * z
+        terms = terms - 0.75 * jpow(jabs(g), 4.0 / 3.0) * z
     if i >= 2:
+        shape = np.shape(z)
         terms = terms - 0.25 * z
-        phi_rows = np.array([np.asarray(plant.phi[j](list(map(_val, xs[: j + 1]))), dtype=float)
-                             for j in range(i - 1)])
-        coupling = phi_rows @ phi_rows.T
-        terms = terms + 0.5 * float(np.sum(scratch.hess_x * coupling))
+        phi_rows = np.stack([stack_entries(phis[j], shape) for j in range(i - 1)], axis=-2)
+        coupling = (phi_rows[..., :, None, :] * phi_rows[..., None, :, :]).sum(axis=-1)
+        contracted = (scratch.hess_x * coupling).reshape(shape + (-1,))
+        terms = terms + 0.5 * contracted.sum(axis=-1)
         for j in range(i - 1):
-            terms = terms + scratch.grad_x[j] * plant.g[j](xs[: j + 1]) * xs[j + 1]
+            terms = terms + grad[j] * plant.g[j](xs[: j + 1]) * xs[j + 1]
         if i >= 3:
             terms = terms + scratch.est_flow
         r = rates_prev[i - 2]
-        terms = terms + (float(scratch.d_vartheta[0] @ r.vartheta_hat)
-                         + float(scratch.d_p[0] @ r.p_hat)
+        terms = terms + ((scratch.d_vartheta[0] * r.vartheta_hat).sum(axis=-1)
+                         + (scratch.d_p[0] * r.p_hat).sum(axis=-1)
                          + scratch.d_eps[0] * r.eps_hat
-                         + float(scratch.d_W[0] @ r.W_hat))
+                         + (scratch.d_W[0] * r.W_hat).sum(axis=-1))
+        failed = failed | scratch.failed
     alpha = terms / g
 
     if debug_pairs is not None:
-        z3 = _val(z) ** 3
+        zv = _val(z)
+        z3 = zv * zv * zv
         debug_pairs.append((z3, gains_i.eps0))
         debug_pairs.extend((z3 * _val(v), gains_i.eps1) for v in Phi_stack)
         debug_pairs.extend((z3 * _val(v), gains_i.eps2) for v in varphi_stack)
 
     return {"z": z, "alpha": alpha, "g": g, "w0": w0, "w1": w1, "w2": w2,
-            "S": S, "Phi_stack": Phi_stack, "varphi_stack": varphi_stack}
+            "S": S, "Phi_stack": Phi_stack, "varphi_stack": varphi_stack,
+            "failed": failed}
 
 
 def _own_step_partials(q):
@@ -331,24 +364,29 @@ def _own_step_partials(q):
 
     alpha_i is affine in (vartheta_i, p_i, eps_i, W_i) with coefficients
     -(w2, w1, w0, S) / g_i, and neither the coefficients nor g_i depend on
-    those estimates.  Returns (d_vartheta, d_p, d_eps, d_W).
+    those estimates.  Returns (d_vartheta, d_p, d_eps, d_W), each with the
+    shape of the point batch.
     """
-    inv_g = 1.0 / q["g"]
-    return (-np.asarray(q["w2"], dtype=float) * inv_g,
-            -np.asarray(q["w1"], dtype=float) * inv_g,
-            -float(q["w0"]) * inv_g,
-            -q["S"] * inv_g)
+    shape = np.shape(q["z"])
+    inv_g = np.asarray(1.0 / q["g"])
+    inv_gv = inv_g[..., None]
+    return (-stack_entries(q["w2"], shape) * inv_gv,
+            -stack_entries(q["w1"], shape) * inv_gv,
+            -q["w0"] * inv_g,
+            -q["S"] * inv_gv)
 
 
-def _steps_through(level, xs, adaptive: AdaptiveState, gains: GainConfig, plant,
+def _steps_through(level, x, adaptive: AdaptiveState, gains: GainConfig, plant,
                    nets, mode: str, final_step: bool = False, debug_pairs=None):
-    """Steps 1..level at a float point.
+    """Steps 1..level at a float point (or a batch of points).
 
     Returns every step's quantities and the rates of steps 1..level-1.  In
     dual mode with level >= 2 one jet pass evaluates step 1 and gives step
     2's scratch; otherwise step i's scratch comes from :func:`compute_scratch`.
-    ``final_step`` applies to step ``level``.
+    ``final_step`` applies to step ``level``.  A step's ``failed`` includes
+    the failures of the steps and scratches before it.
     """
+    xs = [x[..., j] for j in range(x.shape[-1])]
     qs, rates = [], []
     scratch = None
     for i in range(1, level + 1):
@@ -357,11 +395,11 @@ def _steps_through(level, xs, adaptive: AdaptiveState, gains: GainConfig, plant,
             rates.append(adaptive_rates(i - 1, q["z"], q["w0"], q["w1"], q["w2"],
                                         q["S"], adaptive.steps[i - 2], gains[i - 2]))
         if i == 1 and level >= 2 and mode == "dual":
-            scratch, q = _scratch_first_level_jets(xs, adaptive, gains, plant, nets,
+            scratch, q = _scratch_first_level_jets(x, adaptive, gains, plant, nets,
                                                    debug_pairs)
         else:
             if i >= 2 and scratch is None:
-                scratch = compute_scratch(i, xs, adaptive, gains, plant, nets, mode=mode)
+                scratch = compute_scratch(i, x, adaptive, gains, plant, nets, mode=mode)
             q = _step_quantities(i, xs, adaptive.steps[i - 1], gains[i - 1], plant,
                                  nets[i - 1], scratch, rates,
                                  final_step=final_step and i == level,
@@ -371,11 +409,13 @@ def _steps_through(level, xs, adaptive: AdaptiveState, gains: GainConfig, plant,
     return qs, rates
 
 
-def _chain_alpha_value(level, xs, adaptive: AdaptiveState, gains: GainConfig,
+def _chain_alpha_value(level, x, adaptive: AdaptiveState, gains: GainConfig,
                        plant, nets, inner_mode: str):
-    """Step ``level``'s quantities at a float point, and the rates of steps
-    1..level-1 (step ``level``'s own rates are not computed)."""
-    qs, rates = _steps_through(level, xs, adaptive, gains, plant, nets, inner_mode)
+    """Step ``level``'s quantities at a batch of float points x (..., level),
+    and the rates of steps 1..level-1 (step ``level``'s own rates are not
+    computed).  Difference stencils evaluate all their points in one call,
+    on a leading axis of x."""
+    qs, rates = _steps_through(level, x, adaptive, gains, plant, nets, inner_mode)
     return qs[-1], rates
 
 
@@ -390,20 +430,21 @@ def _scratch_first_level_jets(x, adaptive: AdaptiveState, gains: GainConfig,
     Only x_1 is tagged: the estimates enter as plain numbers, and their
     partials come from :func:`_own_step_partials`.
     """
-    out = _step_quantities(1, [variable(x[0])], adaptive.steps[0], gains[0],
+    out = _step_quantities(1, [variable(x[..., 0])], adaptive.steps[0], gains[0],
                            plant, nets[0], None, [], final_step=False,
                            debug_pairs=debug_pairs)
     aj = out["alpha"]
-    # alpha_1 is finite only if every regressor (hence every partial) is
-    if not (np.isfinite(aj.val) and np.isfinite(aj.d1) and np.isfinite(aj.d2)):
-        raise NonFiniteDerivative("non-finite derivative in first-level scratch")
     q = {k: _quantity_values(v) for k, v in out.items()}
+    # alpha_1 is finite only if every regressor (hence every partial) is
+    q["failed"] = q["failed"] | ~(np.isfinite(aj.val) & np.isfinite(aj.d1)
+                                  & np.isfinite(aj.d2))
     d_vt, d_p, d_eps, d_W = _own_step_partials(q)
     scratch = StepScratch(
-        alpha=float(aj.val),
-        grad_x=np.array([aj.d1], dtype=float),
-        hess_x=np.array([[aj.d2]], dtype=float),
+        alpha=aj.val,
+        grad_x=aj.d1[..., None],
+        hess_x=aj.d2[..., None, None],
         d_vartheta=[d_vt], d_p=[d_p], d_eps=[d_eps], d_W=[d_W], est_flow=0.0,
+        failed=q["failed"],
     )
     return scratch, q
 
@@ -416,76 +457,94 @@ def _quantity_values(v):
     return v
 
 
+def _stencil(level: int):
+    """The central-difference points as moves (coordinate, sign, step kind):
+    the base point, +-h1 along each coordinate (gradient), +-h2 along each
+    (Hessian diagonal), and (+-h2, +-h2) along each pair j < k."""
+    first = [((j, s, 1),) for j in range(level) for s in (1.0, -1.0)]
+    second = [((j, s, 2),) for j in range(level) for s in (1.0, -1.0)]
+    cross = [((j, sj, 2), (k, sk, 2)) for j in range(level) for k in range(j + 1, level)
+             for sj, sk in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))]
+    return [()] + first + second + cross
+
+
 def _scratch_numeric(level, x, adaptive: AdaptiveState, gains: GainConfig,
                      plant, nets, inner_mode: str) -> StepScratch:
-    xs0 = [float(v) for v in x[:level]]
+    x0 = x[..., :level]
+    steps = {1: FD_STEP_FIRST * np.maximum(1.0, np.abs(x0)),
+             2: FD_STEP_SECOND * np.maximum(1.0, np.abs(x0))}
+    moves = _stencil(level)
+    pts = np.empty((len(moves),) + x0.shape)
+    pts[:] = x0
+    for p, move in enumerate(moves):
+        for j, sign, kind in move:
+            pts[p, ..., j] += sign * steps[kind][..., j]
 
-    def f_x(xs):
-        return _chain_alpha_value(level, xs, adaptive, gains, plant, nets,
-                                  inner_mode)[0]["alpha"]
-
-    base, rates = _chain_alpha_value(level, xs0, adaptive, gains, plant, nets,
-                                     inner_mode)
-    alpha0 = base["alpha"]
-    grad_x = np.empty(level)
+    q, rates = _chain_alpha_value(level, pts, adaptive, gains, plant, nets, inner_mode)
+    a = np.broadcast_to(q["alpha"], pts.shape[:-1])
+    alpha0 = a[0]
+    h1, h2 = steps[1], steps[2]
+    grad_x = np.empty(x0.shape)
+    hess = np.empty(x0.shape + (level,))
     for j in range(level):
-        h = FD_STEP_FIRST * max(1.0, abs(xs0[j]))
-        up, dn = list(xs0), list(xs0)
-        up[j] += h
-        dn[j] -= h
-        grad_x[j] = (f_x(up) - f_x(dn)) / (2.0 * h)
-
-    hess = np.empty((level, level))
-    hs = [FD_STEP_SECOND * max(1.0, abs(v)) for v in xs0]
+        grad_x[..., j] = (a[1 + 2 * j] - a[2 + 2 * j]) / (2.0 * h1[..., j])
+    p = 1 + 2 * level
     for j in range(level):
-        up, dn = list(xs0), list(xs0)
-        up[j] += hs[j]
-        dn[j] -= hs[j]
-        hess[j, j] = (f_x(up) - 2.0 * alpha0 + f_x(dn)) / hs[j] ** 2
+        hess[..., j, j] = (a[p] - 2.0 * alpha0 + a[p + 1]) / (h2[..., j] * h2[..., j])
+        p += 2
+    for j in range(level):
         for k in range(j + 1, level):
-            pts = []
-            for sj, sk in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-                p = list(xs0)
-                p[j] += sj * hs[j]
-                p[k] += sk * hs[k]
-                pts.append(f_x(p))
-            hess[j, k] = hess[k, j] = (pts[0] - pts[1] - pts[2] + pts[3]) / (4.0 * hs[j] * hs[k])
+            c = a[p:p + 4]
+            hess[..., j, k] = hess[..., k, j] = \
+                (c[0] - c[1] - c[2] + c[3]) / (4.0 * h2[..., j] * h2[..., k])
+            p += 4
 
-    flow = _estimate_flow(level, xs0, adaptive, rates, gains, plant, nets, inner_mode)
-    if not (np.isfinite(alpha0) and np.all(np.isfinite(grad_x)) and np.all(np.isfinite(hess))
-            and np.isfinite(flow)):
-        raise NonFiniteDerivative("non-finite derivative in numeric scratch")
-    d_vt, d_p, d_eps, d_W = ([block] for block in _own_step_partials(base))
-    return StepScratch(alpha0, grad_x, hess, d_vt, d_p, d_eps, d_W, flow)
+    base_rates = [StepRates(r.vartheta_hat[0], r.p_hat[0], r.eps_hat[0], r.W_hat[0])
+                  for r in rates]
+    flow, flow_failed = _estimate_flow(level, x0, adaptive, base_rates, gains, plant,
+                                       nets, inner_mode)
+    finite = (np.isfinite(alpha0) & np.all(np.isfinite(grad_x), axis=-1)
+              & np.all(np.isfinite(hess), axis=(-2, -1)) & np.isfinite(flow))
+    failed = np.any(np.broadcast_to(q["failed"], a.shape), axis=0) | flow_failed | ~finite
+    d_vt, d_p, d_eps, d_W = ([d[0]] for d in _own_step_partials(q))
+    return StepScratch(alpha0, grad_x, hess, d_vt, d_p, d_eps, d_W, flow, failed)
 
 
-def _estimate_flow(level, xs, adaptive: AdaptiveState, rates, gains: GainConfig,
-                   plant, nets, inner_mode: str) -> float:
+def _norm(blocks) -> np.ndarray:
+    """Euclidean norm of estimate (or rate) blocks taken as one vector."""
+    sq = 0.0
+    for b in blocks:
+        sq = sq + ((b.vartheta_hat * b.vartheta_hat).sum(axis=-1)
+                   + (b.p_hat * b.p_hat).sum(axis=-1) + b.eps_hat * b.eps_hat
+                   + (b.W_hat * b.W_hat).sum(axis=-1))
+    return np.sqrt(sq)
+
+
+def _estimate_flow(level, x0, adaptive: AdaptiveState, rates, gains: GainConfig,
+                   plant, nets, inner_mode: str):
     """Time derivative of alpha_level along the adaptive laws of steps
-    1..level-1, with step ``level``'s estimates held.
+    1..level-1, with step ``level``'s estimates held; returns it with the
+    rows whose evaluations failed.
 
     One central difference along the rates: those steps' estimates move
     together to est +- h * rate, with h = FD_STEP_FIRST * max(1, |est|) / |rate|
-    (norms over the concatenated blocks).  A zero rate gives exactly 0.0.
+    (norms over the concatenated blocks); both ends are rows of one
+    evaluation.  A zero rate gives exactly 0.0.
     """
     earlier = adaptive.steps[: level - 1]
     if not earlier:
-        return 0.0
-
-    def norm(blocks):
-        return float(np.linalg.norm(np.hstack(
-            [np.hstack((b.vartheta_hat, b.p_hat, b.eps_hat, b.W_hat)) for b in blocks])))
-    rate_norm = norm(rates)
-    if rate_norm == 0.0:
-        return 0.0
-    h = FD_STEP_FIRST * max(1.0, norm(earlier)) / rate_norm
-    held = adaptive.steps[level - 1:]
-    ends = []
-    for s in (h, -h):
-        moved = AdaptiveState([_along(e, r, s) for e, r in zip(earlier, rates)] + held)
-        ends.append(_chain_alpha_value(level, xs, moved, gains, plant, nets,
-                                       inner_mode)[0]["alpha"])
-    return (ends[0] - ends[1]) / (2.0 * h)
+        return 0.0, False
+    rate_norm = _norm(rates)
+    still = rate_norm == 0.0
+    h = FD_STEP_FIRST * np.maximum(1.0, _norm(earlier)) / np.where(still, 1.0, rate_norm)
+    ends = np.stack(np.broadcast_arrays(h, -h))
+    moved = AdaptiveState([_along(e, r, ends) for e, r in zip(earlier, rates)]
+                          + adaptive.steps[level - 1:])
+    q, _ = _chain_alpha_value(level, np.broadcast_to(x0, (2,) + x0.shape), moved,
+                              gains, plant, nets, inner_mode)
+    a = np.broadcast_to(q["alpha"], (2,) + x0.shape[:-1])
+    flow = np.where(still, 0.0, (a[0] - a[1]) / (2.0 * h))
+    return flow, np.any(np.broadcast_to(q["failed"], a.shape), axis=0)
 
 
 def compute_scratch(i: int, x, adaptive: AdaptiveState, gains: GainConfig,
@@ -504,11 +563,11 @@ def compute_scratch(i: int, x, adaptive: AdaptiveState, gains: GainConfig,
         raise ValueError("scratch is defined for steps i >= 2")
     if mode not in ("dual", "numeric"):
         raise ValueError(f"unknown scratch mode {mode!r}")
+    x = np.asarray(x, dtype=float)
     level = i - 1
     if mode == "dual" and level == 1:
         return _scratch_first_level_jets(x, adaptive, gains, plant, nets)[0]
-    inner = "dual" if mode == "dual" else "numeric"
-    return _scratch_numeric(level, x, adaptive, gains, plant, nets, inner)
+    return _scratch_numeric(level, x, adaptive, gains, plant, nets, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -518,30 +577,39 @@ def compute_scratch(i: int, x, adaptive: AdaptiveState, gains: GainConfig,
 def alpha_1(x1: float, adaptive: AdaptiveState, gains: GainConfig, plant,
             nets) -> float:
     """First intermediate law (final-step form is never used here)."""
-    q = _step_quantities(1, [float(x1)], adaptive.steps[0], gains[0], plant,
-                         nets[0], None, [], final_step=(plant.n == 1))
-    return float(q["alpha"])
+    q = _step_quantities(1, [np.asarray(x1, dtype=float)], adaptive.steps[0],
+                         gains[0], plant, nets[0], None, [],
+                         final_step=(plant.n == 1))
+    return q["alpha"]
 
 
 def forward_pass(x, adaptive: AdaptiveState, gains: GainConfig, plant, nets,
                  mode: str = "dual", debug: bool = False) -> ControlEval:
-    """Evaluate the whole cascade once: z, alphas, u and all adaptive rates."""
+    """Evaluate the whole cascade once: z, alphas, u and all adaptive rates.
+
+    ``x`` is one state (n,) or a batch (..., n) with matching estimate
+    batches; rows that fail are flagged in ``ControlEval.failed``.
+    """
     n = plant.n
+    x = np.asarray(x, dtype=float)
+    shape = x.shape[:-1]
     debug_pairs = [] if debug else None
-    qs, rates = _steps_through(n, [float(v) for v in x], adaptive, gains, plant, nets,
-                               mode, final_step=True, debug_pairs=debug_pairs)
+    qs, rates = _steps_through(n, x, adaptive, gains, plant, nets, mode,
+                               final_step=True, debug_pairs=debug_pairs)
     last = qs[-1]
     rates.append(adaptive_rates(n, last["z"], last["w0"], last["w1"], last["w2"],
                                 last["S"], adaptive.steps[n - 1], gains[n - 1]))
-    z = np.array([float(q["z"]) for q in qs])
-    alphas = np.array([float(q["alpha"]) for q in qs[:-1]])
-    u = float(last["alpha"])
+    z = stack_entries([q["z"] for q in qs], shape)
+    alphas = stack_entries([q["alpha"] for q in qs[:-1]], shape)
+    failed = np.zeros(shape, dtype=bool)
+    for q in qs:
+        failed = failed | q["failed"]
 
     if debug_pairs:
         for v, eps in debug_pairs:
-            gap = float(tanh_absorption_gap(v, eps))
-            if not (-1e-12 <= gap <= TANH_ABSORPTION_DELTA * eps + 1e-12):
+            gap = tanh_absorption_gap(v, eps)
+            if not np.all((-1e-12 <= gap) & (gap <= TANH_ABSORPTION_DELTA * eps + 1e-12)):
                 raise AssertionError(
                     f"tanh absorption bound violated: gap={gap} eps={eps}")
 
-    return ControlEval(z=z, alphas=alphas, u=u, rates=rates)
+    return ControlEval(z=z, alphas=alphas, u=last["alpha"], rates=rates, failed=failed)

@@ -1,11 +1,14 @@
 """Closed-loop runs, Monte-Carlo ensembles and file emission.
 
-``run_closed_loop`` drives one seeded trajectory: the control and all
-adaptive rates are evaluated at the current sample, the state advances by one
-Euler-Maruyama step and the estimates by one explicit Euler step on the same
-grid.  ``monte_carlo`` fans runs out over a process pool (each run owns its
-derived stream, so results are identical at any worker count), writes one CSV
-per run and a key-value report with a reproducibility digest.
+``run_closed_loop`` drives seeded trajectories in lockstep: the control and
+all adaptive rates are evaluated at the current sample, the state advances by
+one Euler-Maruyama step and the estimates by one explicit Euler step on the
+same grid.  One run steps in unbatched shapes; a batch of runs steps as the
+rows of the same arrays, and each row rounds as it would alone, so a run's
+result does not depend on the batch it is in.  ``monte_carlo`` splits the
+runs into one contiguous batch per worker (each run owns its derived stream,
+so results are identical at any worker count), writes one CSV per run and a
+key-value report with a reproducibility digest.
 """
 
 import hashlib
@@ -13,13 +16,13 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import List, Optional
 
 import numpy as np
 
 from .config import TAIL_FRACTION, ExperimentConfig
-from .controller import (AdaptiveState, NonFiniteDerivative, SingularGainError,
-                         forward_pass)
+from .controller import AdaptiveState, StepEstimates, forward_pass
 from .monitor import (bounded_in_probability_stat, convergence_stat,
                       empirical_drift, lambda_K, reference_truth_norms,
                       state_energy)
@@ -105,74 +108,99 @@ def csv_header(n: int) -> str:
     return ",".join(columns(n))
 
 
-def run_closed_loop(config: ExperimentConfig, run_index: int) -> TrajectoryRecord:
-    """One seeded trajectory of the controlled plant over [0, horizon].
+def run_closed_loop(config: ExperimentConfig, run_index):
+    """Seeded trajectories of the controlled plant over [0, horizon].
 
-    Integration halts (and the partial record is flagged diverged) when any
-    state or estimate magnitude exceeds the divergence limit or is not
-    finite, the control is not finite, the controller hits a singular gain /
-    non-finite derivative, or the controller or the plant overflows
-    (``OverflowError``); see :class:`~ancsim.sde.TrajectoryRecord`.
+    ``run_index`` is one run (an int; returns its record) or a sequence of
+    runs, stepped together as the rows of one batch (returns their records in
+    that order).  A row halts (its partial record is flagged diverged) when
+    any state or estimate magnitude exceeds the divergence limit or is not
+    finite, the control is not finite, the controller fails there (singular
+    gain, non-finite derivative, an overflowing designer-known function), or
+    the plant overflows; see :class:`~ancsim.sde.TrajectoryRecord`.  A halted
+    row is frozen while the others carry on.
     """
     plant = config.plant
     n = plant.n
     steps = int(np.floor(config.horizon / config.dt))
-    stream = derive_stream(config.master_seed, run_index)
-    path = wiener_increments(stream, plant.r, steps, config.dt)
+    batched = not isinstance(run_index, Integral)
+    runs = list(run_index) if batched else [run_index]
+    lead = (len(runs),) if batched else ()
+    noise = np.empty(lead + (steps, plant.r))
+    for block, i in zip(noise.reshape(-1, steps, plant.r), runs):
+        block[:] = wiener_increments(derive_stream(config.master_seed, i), plant.r,
+                                     steps, config.dt).increments
 
-    x = config.x0.copy()
-    adaptive = config.initial_estimates.copy()
+    def rows(v):                          # v repeated for every run of the batch
+        return np.array(np.broadcast_to(v, lead + np.shape(v)))
+    x = rows(config.x0)
+    adaptive = AdaptiveState([StepEstimates(rows(s.vartheta_hat), rows(s.p_hat),
+                                            rows(s.eps_hat), rows(s.W_hat))
+                              for s in config.initial_estimates.steps])
 
     cols, est_cols = columns(n), _estimate_columns(n)
-    table = np.empty((steps + 1, len(cols)))
+    table = np.empty(lead + (steps + 1, len(cols)))
     # the magnitude guard reads the state and estimate columns; u need only be finite
     guarded = np.array([j for j, c in enumerate(cols) if c[0] == "x" or c in est_cols])
 
-    diverged = False
-    diverged_step: Optional[int] = None
-    kept = 0
-    for k in range(steps + 1):
-        t = k * config.dt
-        try:
+    live = np.ones(lead, dtype=bool)
+    kept = np.zeros(lead, dtype=int)
+    halted_at = np.full(lead, -1)
+    with np.errstate(all="ignore"):       # non-finite rows are flagged, not warned about
+        for k in range(steps + 1):
+            t = k * config.dt
             ev = forward_pass(x, adaptive, config.gains, plant,
                               config.networks, mode=config.scratch_mode)
-        except (SingularGainError, NonFiniteDerivative, OverflowError):
-            diverged, diverged_step = True, k
-            break
-        row = table[k]
-        row[0], row[1:n + 1], row[n + 1] = t, x, ev.u
-        _fill_diag(row, ev, adaptive, n)
-        kept = k + 1
-        if not (np.isfinite(ev.u) and np.max(np.abs(row[guarded])) <= DIVERGENCE_LIMIT):
-            diverged, diverged_step = True, k
-            break
-        if k == steps:
-            break
-        dw = path.increments[k]
-        try:
-            x = em_update(x, drift(plant, x, ev.u, t), diffusion(plant, x),
-                          config.dt, dw)
-        except OverflowError:            # plant functions that call math.exp
-            diverged, diverged_step = True, k
-            break
-        adaptive = adaptive.euler(ev.rates, config.dt)
+            # a controller failure leaves no control: sample k is not kept
+            halted_at = np.where(live & ev.failed, k, halted_at)
+            live = live & ~ev.failed
+            row = table[..., k, :]
+            row[..., 0], row[..., 1:n + 1], row[..., n + 1] = t, x, ev.u
+            _fill_diag(row, ev, adaptive, n)
+            kept = np.where(live, k + 1, kept)
+            bad = ~(np.isfinite(ev.u)
+                    & (np.max(np.abs(row[..., guarded]), axis=-1) <= DIVERGENCE_LIMIT))
+            halted_at = np.where(live & bad, k, halted_at)
+            live = live & ~bad
+            if k == steps or not live.any():
+                break
+            try:
+                nxt = em_update(x, drift(plant, x, ev.u, t), diffusion(plant, x),
+                                config.dt, noise[..., k, :])
+            except OverflowError:        # plant functions that raise instead
+                nxt = np.full(x.shape, np.nan)
+            # a plant overflow leaves no next state: sample k is the last one
+            over = live & ~np.all(np.isfinite(nxt), axis=-1)
+            halted_at = np.where(over, k, halted_at)
+            live = live & ~over
+            x = np.where(live[..., None], nxt, x)
+            adaptive = adaptive.euler(ev.rates, config.dt)
 
-    rows = table[:kept]
+    records = [_record(block[:m], cols, n, h) for block, m, h in
+               zip(table.reshape((-1,) + table.shape[-2:]), kept.ravel(), halted_at.ravel())]
+    return records if batched else records[0]
+
+
+def _record(rows: np.ndarray, cols: List[str], n: int, halted_at: int) -> TrajectoryRecord:
+    """A run's record as column views of its kept table rows."""
     return TrajectoryRecord(rows[:, 0], rows[:, 1:n + 1], rows[:, n + 1],
                             dict(zip(cols[n + 2:], rows[:, n + 2:].T)),
-                            diverged=diverged, diverged_step=diverged_step)
+                            diverged=halted_at >= 0,
+                            diverged_step=int(halted_at) if halted_at >= 0 else None)
 
 
 def _fill_diag(row, ev, adaptive: AdaptiveState, n: int):
-    """Write one sample's z, alpha, estimate norms and Vx into its table row."""
-    row[n + 2:2 * n + 2] = ev.z
-    row[2 * n + 2:3 * n + 1] = ev.alphas
-    est = row[3 * n + 1:-1].reshape(len(_ESTIMATE_KINDS), n)
+    """Write one sample's z, alpha, estimate norms and Vx into its table row
+    (or a batch's rows)."""
+    row[..., n + 2:2 * n + 2] = ev.z
+    row[..., 2 * n + 2:3 * n + 1] = ev.alphas
+    est = row[..., 3 * n + 1:-1]
     for i, s in enumerate(adaptive.steps):
-        est[:, i] = (np.sqrt(s.W_hat @ s.W_hat), s.eps_hat,
-                     np.sqrt(s.p_hat @ s.p_hat),
-                     np.sqrt(s.vartheta_hat @ s.vartheta_hat))
-    row[-1] = state_energy(ev.z)
+        est[..., i] = np.sqrt((s.W_hat * s.W_hat).sum(axis=-1))
+        est[..., n + i] = s.eps_hat
+        est[..., 2 * n + i] = np.sqrt((s.p_hat * s.p_hat).sum(axis=-1))
+        est[..., 3 * n + i] = np.sqrt((s.vartheta_hat * s.vartheta_hat).sum(axis=-1))
+    row[..., -1] = state_energy(ev.z)
 
 
 def emit_csv(record: TrajectoryRecord, path: str, n: int, decimation: int = 1):
@@ -206,8 +234,17 @@ def emit_report(report: RunReport, path: str):
 _ACTIVE_CONFIG: Optional[ExperimentConfig] = None
 
 
-def _worker(idx: int):
-    return idx, run_closed_loop(_ACTIVE_CONFIG, idx)
+def _worker(batch):
+    return run_closed_loop(_ACTIVE_CONFIG, batch)
+
+
+def _batches(runs: int, jobs: int) -> list:
+    """Runs 0..runs-1 as one contiguous batch per worker.  A batch of one run
+    is passed as its index, so it steps in unbatched shapes (plants written
+    with scalar ``math`` functions can still run one at a time)."""
+    chunks = np.array_split(np.arange(runs), min(jobs, runs))
+    return [int(c[0]) if len(c) == 1 else range(int(c[0]), int(c[-1]) + 1)
+            for c in chunks]
 
 
 def monte_carlo(config: ExperimentConfig, out_dir: Optional[str] = None,
@@ -215,29 +252,29 @@ def monte_carlo(config: ExperimentConfig, out_dir: Optional[str] = None,
     """Run the ensemble, write per-run CSVs plus a report; returns
     (report, records).
 
-    Each run derives its own stream from (master_seed, run_index), so the
-    results are identical at any worker count.
+    Each run derives its own stream from (master_seed, run_index) and its
+    result does not depend on its batch, so the results are identical at any
+    worker count.
     """
     global _ACTIVE_CONFIG
     out_dir = out_dir or config.output_dir
     os.makedirs(out_dir, exist_ok=True)
 
-    indices = list(range(config.runs))
-    records: List[Optional[TrajectoryRecord]] = [None] * config.runs
     use_pool = (jobs > 1 and config.runs > 1
                 and "fork" in multiprocessing.get_all_start_methods())
+    batches = _batches(config.runs, jobs if use_pool else 1)
     if use_pool:
         _ACTIVE_CONFIG = config
         try:
             ctx = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(max_workers=jobs, mp_context=ctx) as pool:
-                for idx, rec in pool.map(_worker, indices):
-                    records[idx] = rec
+            with ProcessPoolExecutor(max_workers=len(batches), mp_context=ctx) as pool:
+                results = list(pool.map(_worker, batches))
         finally:
             _ACTIVE_CONFIG = None
     else:
-        for i in indices:
-            records[i] = run_closed_loop(config, i)
+        results = [run_closed_loop(config, batch) for batch in batches]
+    records = [rec for batch, recs in zip(batches, results)
+               for rec in ([recs] if isinstance(batch, int) else recs)]
 
     decim = 1 if full_rate else config.csv_decimation
     sha = hashlib.sha256()

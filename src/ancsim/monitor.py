@@ -58,9 +58,10 @@ class TruthNorms:
 
 
 def state_energy(z) -> float:
-    """Quartic state energy sum_i z_i^4 / 4."""
+    """Quartic state energy sum_i z_i^4 / 4, over the last axis of z."""
     z = np.asarray(z, dtype=float)
-    return float(np.sum(z ** 4) / 4.0)
+    z2 = z * z
+    return np.sum(z2 * z2, axis=-1) / 4.0
 
 
 def _min_active_eig(M: np.ndarray):
@@ -115,6 +116,10 @@ def lambda_K(gains: GainConfig, truth_norms: Sequence[TruthNorms]) -> BoundConst
     return BoundConstants(lam, K)
 
 
+# the last reference fit: (plant, networks, sample_seed, samples_per_node, norms)
+_TRUTH_MEMO: list = [None]
+
+
 def reference_truth_norms(plant, nets: Sequence[RbfNetwork],
                           sample_seed: int = 0,
                           samples_per_node: int = 8) -> List[TruthNorms]:
@@ -124,7 +129,16 @@ def reference_truth_norms(plant, nets: Sequence[RbfNetwork],
     earlier f_j, reconstructed from the canonical network input layout) is fit
     on uniform samples of the network's center box, and the norm of the
     fitted weights stands in for the unknowable ideal weight norm.
+
+    The fit depends only on the plant and the networks' centers and widths,
+    so the last result is kept and returned again for the same plant and
+    network objects: repeated sweeps of one config fit once.
     """
+    memo = _TRUTH_MEMO[0]
+    if (memo is not None and memo[0] is plant and len(memo[1]) == len(nets)
+            and all(a is b for a, b in zip(memo[1], nets))
+            and memo[2:4] == (sample_seed, samples_per_node)):
+        return list(memo[4])
     out = []
     for i in range(1, plant.n + 1):
         net = nets[i - 1]
@@ -155,7 +169,8 @@ def reference_truth_norms(plant, nets: Sequence[RbfNetwork],
             vartheta_norm=float(np.linalg.norm(plant.theta_envelope(i))),
             W_norm=float(np.linalg.norm(w)),
         ))
-    return out
+    _TRUTH_MEMO[0] = (plant, list(nets), sample_seed, samples_per_node, out)
+    return list(out)
 
 
 def _aligned_times(ensemble: Sequence[TrajectoryRecord]) -> np.ndarray:

@@ -13,15 +13,19 @@ the starred constants exist for simulation and monitoring.
 Plants are immutable after construction and all function fields are pure, so
 concurrent evaluation is safe.  The designer-known functions accept
 forward-mode jets (see :mod:`ancsim.autodiff`).
+
+Function fields receive state components, each a float or an array over a
+batch of runs (``xbar[j]``, ``x[..., j]``), so one call evaluates a whole
+batch.  The presets use numpy ufuncs throughout: they round a batch row as
+they round a lone value, and they overflow to inf instead of raising.
 """
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .autodiff import jabs, jcos, jexp, jsin
+from .autodiff import jabs, jcos, jexp, jsin, stack_entries
 from .rng import NormalStream
 
 __all__ = [
@@ -68,27 +72,34 @@ class StrictFeedbackPlant:
         return self.p_star[:upto_step]
 
 
-def drift(plant: StrictFeedbackPlant, x: np.ndarray, u: float, t: float) -> np.ndarray:
-    """Drift vector of the truth model; the last component uses u."""
+def drift(plant: StrictFeedbackPlant, x: np.ndarray, u, t: float) -> np.ndarray:
+    """Drift vector of the truth model; the last component uses u.
+
+    ``x`` is one state (n,) or a batch (..., n) with one u per state.
+    """
     x = np.asarray(x, dtype=float)
-    out = np.empty(plant.n)
+    xs = [x[..., j] for j in range(plant.n)]
+    out = np.empty(x.shape)
     for i in range(plant.n):
-        xbar = list(x[: i + 1])
-        nxt = u if i == plant.n - 1 else x[i + 1]
-        out[i] = (plant.g[i](xbar) * nxt
-                  + float(plant.theta_star @ np.asarray(plant.Psi[i](xbar), dtype=float))
-                  + plant.f[i](xbar)
-                  + plant.Delta[i](x, t))
+        xbar = xs[: i + 1]
+        nxt = u if i == plant.n - 1 else xs[i + 1]
+        out[..., i] = (plant.g[i](xbar) * nxt
+                       + (plant.theta_star * np.asarray(plant.Psi[i](xbar))).sum(axis=-1)
+                       + plant.f[i](xbar)
+                       + plant.Delta[i](x, t))
     return out
 
 
 def diffusion(plant: StrictFeedbackPlant, x: np.ndarray) -> np.ndarray:
-    """Diffusion matrix; row i is phi_i(xbar_i)^T."""
+    """Diffusion matrix (..., n, r); row i is phi_i(xbar_i)^T."""
     x = np.asarray(x, dtype=float)
-    out = np.empty((plant.n, plant.r))
+    xs = [x[..., j] for j in range(plant.n)]
+    out = np.empty(x.shape + (plant.r,))
     for i in range(plant.n):
-        out[i] = np.asarray(plant.phi[i](list(x[: i + 1])), dtype=float)
+        for k, v in enumerate(plant.phi[i](xs[: i + 1])):
+            out[..., i, k] = v
     return out
+
 
 
 @dataclass
@@ -156,12 +167,12 @@ def preset_section4(noise_scale: float = 1.0,
         n=2, r=1, q=2,
         g=[lambda xb: 1.0,
            lambda xb: 1.0 + 0.5 * jsin(xb[0])],
-        f=[lambda xb: xb[0] * math.sin(xb[0]),
-           lambda xb: xb[1] * math.cos(xb[1])],
+        f=[lambda xb: xb[0] * np.sin(xb[0]),
+           lambda xb: xb[1] * np.cos(xb[1])],
         theta_star=np.array([0.0, 0.02]),
         Psi=[lambda xb: np.zeros(2),
-             lambda xb: np.array([0.0, xb[1]])],
-        Delta=[lambda x, t: ds * 0.5 * x[0] * math.sin(x[1] * t),
+             lambda xb: stack_entries((0.0, xb[1]))],
+        Delta=[lambda x, t: ds * 0.5 * x[..., 0] * np.sin(x[..., 1] * t),
                lambda x, t: 0.0],
         phi=[lambda xb: [ns * xb[0] * jcos(xb[0])],
              lambda xb: [ns * jsin(xb[1])]],
@@ -191,12 +202,12 @@ def preset_remark(theta: Sequence[float] = (0.1, 0.1, 0.2, 0.2),
         g=[lambda xb: xb[0] * xb[0] + 1.0,
            lambda xb: jexp(-xb[1])],
         f=[lambda xb: 0.0,
-           lambda xb: math.exp(-xb[1])],
+           lambda xb: np.exp(-xb[1])],
         theta_star=np.array([t1, t2]),
-        Psi=[lambda xb: np.array([xb[0] ** 2, 0.0]),
-             lambda xb: np.array([xb[1] ** 2, math.exp(xb[0])])],
-        Delta=[lambda x, t: ds * t3 * math.sin(t * t4 * x[1]),
-               lambda x, t: ds * (t4 + t3 * math.sin(x[0])) * x[1] ** 2],
+        Psi=[lambda xb: stack_entries((xb[0] * xb[0], 0.0)),
+             lambda xb: stack_entries((xb[1] * xb[1], np.exp(xb[0])))],
+        Delta=[lambda x, t: ds * t3 * np.sin(t * t4 * x[..., 1]),
+               lambda x, t: ds * (t4 + t3 * np.sin(x[..., 0])) * (x[..., 1] * x[..., 1])],
         phi=[lambda xb: [ns * xb[0]],
              lambda xb: [0.0]],
         Phi_bound=[lambda xb: 1.0,
@@ -219,8 +230,8 @@ def preset_cascade3() -> StrictFeedbackPlant:
         name="cascade3",
         n=3, r=1, q=1,
         g=[lambda xb: 1.0, lambda xb: 1.0, lambda xb: 1.0],
-        f=[lambda xb: 0.2 * math.sin(xb[0]),
-           lambda xb: 0.1 * xb[1] * math.cos(xb[0]),
+        f=[lambda xb: 0.2 * np.sin(xb[0]),
+           lambda xb: 0.1 * xb[1] * np.cos(xb[0]),
            lambda xb: 0.1 * xb[2]],
         theta_star=np.zeros(1),
         Psi=[lambda xb: np.zeros(1)] * 3,

@@ -11,7 +11,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .autodiff import jexp
+from .autodiff import jexp, jtrailing
 from .rng import derive_stream
 
 __all__ = [
@@ -19,6 +19,7 @@ __all__ = [
     "basis", "basis_components", "eval_network", "make_centers", "fit_least_squares",
 ]
 
+_FIT_BLOCK = 64               # samples per block of the least-squares design matrix
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71)
 
 
@@ -61,10 +62,14 @@ class CenterLayout:
 
 
 def basis_components(centers: np.ndarray, width: float, z_components) -> object:
-    """Gaussian basis vector from per-coordinate inputs (floats or jets)."""
+    """Gaussian basis vector from per-coordinate inputs (floats or jets).
+
+    Each input may hold a batch of points; the basis entries then run along
+    a new last axis, (..., l).
+    """
     sq = None
     for k, zk in enumerate(z_components):
-        d = zk - centers[:, k]
+        d = jtrailing(zk) - centers[:, k]
         term = d * d
         sq = term if sq is None else sq + term
     return jexp(sq * (-1.0 / (width * width)))
@@ -157,8 +162,12 @@ def fit_least_squares(centers: np.ndarray, width: float, samples,
     if Z.shape[0] < l:
         raise ValueError(f"need at least {l} samples, got {Z.shape[0]}")
 
-    diff = Z[:, None, :] - centers[None, :, :]
-    design = np.exp(-np.sum(diff * diff, axis=2) / width ** 2)
+    # the design matrix a block of samples at a time: the (samples, l, q)
+    # difference cube of all of them at once is the fit's memory peak
+    design = np.empty((Z.shape[0], l))
+    for s in range(0, Z.shape[0], _FIT_BLOCK):
+        diff = Z[s:s + _FIT_BLOCK, None, :] - centers[None, :, :]
+        design[s:s + _FIT_BLOCK] = np.exp(-np.sum(diff * diff, axis=2) / width ** 2)
     if ridge > 0.0:
         gram = design.T @ design + ridge * np.eye(l)
         return np.linalg.solve(gram, design.T @ targets)

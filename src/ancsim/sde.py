@@ -22,17 +22,18 @@ class TrajectoryRecord:
     """Time-indexed states plus named diagnostic channels for one seeded run.
 
     All channels have equal length.  A closed-loop run fills them as column
-    views of one sample table, whose columns are
+    views of its block of one sample table, whose columns are
     :func:`ancsim.harness.columns`.  ``diverged`` flags a run that halted
     early, and ``diverged_step`` is the step index k at which it halted:
 
     * the guard (a state or an estimate norm beyond ``DIVERGENCE_LIMIT`` or
       not finite, NaN included, or a non-finite control) keeps sample k, so
-      ``diverged_step == len(record) - 1``; so does an ``OverflowError`` in
-      the plant's drift or diffusion at sample k, which leaves no next state;
-    * a controller error at step k (singular gain, non-finite derivative,
-      ``OverflowError``) leaves no control for that step, so sample k is not
-      kept and ``diverged_step == len(record)``.
+      ``diverged_step == len(record) - 1``; so does a plant overflow at
+      sample k (a non-finite next state, or an ``OverflowError`` from the
+      drift or diffusion), which leaves no next state;
+    * a controller failure at step k (singular gain, non-finite derivative,
+      a designer-known plant function overflowing) leaves no control for
+      that step, so sample k is not kept and ``diverged_step == len(record)``.
     """
 
     times: np.ndarray
@@ -48,5 +49,9 @@ class TrajectoryRecord:
 
 def em_update(x: np.ndarray, drift_vec: np.ndarray, diffusion_mat: np.ndarray,
               dt: float, dW: np.ndarray) -> np.ndarray:
-    """One Euler-Maruyama update: x + drift*dt + diffusion @ dW."""
-    return x + drift_vec * dt + diffusion_mat @ dW
+    """One Euler-Maruyama update: x + drift*dt + diffusion dW.
+
+    Shapes (..., n), (..., n), (..., n, r) and (..., r): one state or a batch.
+    """
+    noise = (diffusion_mat * np.asarray(dW)[..., None, :]).sum(axis=-1)
+    return x + drift_vec * dt + noise

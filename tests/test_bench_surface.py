@@ -7,6 +7,7 @@ traced controller evaluation, so they fail when the spans or the jet-width
 gauge stop reading what they expect of the program.
 """
 
+import os
 import sys
 from pathlib import Path
 
@@ -82,3 +83,37 @@ def test_sample_columns_are_the_benchmark_csv_columns():
     # the benchmark writes its expected CSV columns out on its own
     for n in (2, 3):
         assert harness.columns(n) == checks.csv_columns(n)
+
+
+def test_rerun_snapshots_feed_the_scratch_mode_check(tmp_path):
+    # the benchmark reruns one run with harness.forward_pass wrapped, keeps
+    # the (x, estimates) of the requested steps and compares the scratch
+    # modes there; with no snapshots that check would pass vacuously
+    for name in ("section4", "cascade3"):
+        cfg = load_bundled(name)
+        cfg.horizon = 12 * cfg.dt
+        keep = {0, 4, 11}
+        snapshots = checks._rerun(cfg, 0, str(tmp_path / f"{name}.csv"), 1, keep)
+        assert len(snapshots) == len(keep)
+        assert all(x.shape == (cfg.n,) for x, _ in snapshots)
+        log = checks.CheckLog()
+        checks._check_scratch_modes(log, cfg, snapshots)
+        assert not log.problems and log.passed == len(keep) * (cfg.n - 1)
+
+
+def test_traced_round_counts_the_spans_it_divides_by(tmp_path):
+    # --trace 1 divides by the call counts of these spans
+    cfg = load_bundled("section4")
+    cfg.horizon, cfg.runs = 0.01, 3
+    owners = (harness, controller, AdaptiveState)
+    before = [dict(vars(owner)) for owner in owners]
+    os.makedirs(tmp_path / "trace")
+    tracer = spans.Tracer(str(tmp_path / "trace"))
+    try:
+        workload.install_spans(tracer)
+        harness.monte_carlo(cfg, out_dir=str(tmp_path / "out"), jobs=1)
+    finally:
+        tracer.restore()
+    for name in ("harness.run", "controller.forward_pass", "monitor.truth_norms"):
+        assert tracer.stats[name].count >= 1, name
+    assert [dict(vars(owner)) for owner in owners] == before

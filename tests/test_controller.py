@@ -5,8 +5,7 @@ import pytest
 
 from ancsim import controller
 from ancsim.config import load_bundled
-from ancsim.controller import (AdaptiveState, GainConfig, SingularGainError,
-                               StepEstimates, StepGains, adaptive_rates,
+from ancsim.controller import (AdaptiveState, GainConfig, StepEstimates, StepGains, adaptive_rates,
                                alpha_1, compute_scratch, forward_pass,
                                nn_input, tanh_bound_terms)
 from ancsim.ineq import TANH_ABSORPTION_DELTA
@@ -388,18 +387,19 @@ def test_level1_jet_tags_x1_only(section4_config, monkeypatch):
 
 def test_level2_scratch_chain_evaluation_count(monkeypatch):
     # 13 chain evaluations for the state gradient and Hessian plus two for
-    # the estimate flow along the step-1 rates; the step-2 partials take none
+    # the estimate flow along the step-1 rates; the step-2 partials take none.
+    # Each stencil's points are the rows of one call: rows are counted
     cfg = load_bundled("cascade3")
     plant, nets, gains, est = cfg.plant, cfg.networks, cfg.gains, cfg.initial_estimates
     calls = []
     real = controller._chain_alpha_value
 
     def counting(*args, **kwargs):
-        calls.append(args[0])
+        calls.append((args[0], len(args[1])))
         return real(*args, **kwargs)
     monkeypatch.setattr(controller, "_chain_alpha_value", counting)
     compute_scratch(3, [0.3, -0.2, 0.1], est, gains, plant, nets, mode="dual")
-    assert len(calls) == 15 and set(calls) == {2}
+    assert calls == [(2, 13), (2, 2)]
 
 
 def test_scratch_rejects_first_step():
@@ -408,13 +408,14 @@ def test_scratch_rejects_first_step():
 
 
 def test_scratch_flags_nonfinite_derivatives(section4_config):
-    from ancsim.controller import NonFiniteDerivative
     cfg = section4_config
     broken = cfg.initial_estimates.copy()
     broken.steps[0].W_hat[0] = np.nan
-    with pytest.raises(NonFiniteDerivative):
-        compute_scratch(2, [0.5, -0.5], broken, cfg.gains, cfg.plant,
-                        cfg.networks)
+    for mode in ("dual", "numeric"):
+        assert compute_scratch(2, [0.5, -0.5], broken, cfg.gains, cfg.plant,
+                               cfg.networks, mode=mode).failed
+        assert not compute_scratch(2, [0.5, -0.5], cfg.initial_estimates, cfg.gains,
+                                   cfg.plant, cfg.networks, mode=mode).failed
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +520,7 @@ def test_debug_mode_checks_absorption_online(section4_config):
                      cfg.gains, cfg.plant, cfg.networks, debug=True)
 
 
-def test_singular_gain_raises():
+def test_singular_gain_fails_the_row():
     plant = StrictFeedbackPlant(
         name="singular", n=1, r=1, q=1,
         g=[lambda xb: xb[0]], f=[lambda xb: 0.0],
@@ -534,8 +535,13 @@ def test_singular_gain_raises():
                                   0.3, 0.3, 0.3, 0.3)])
     est = AdaptiveState([StepEstimates(np.zeros(1), np.zeros(1), 0.0,
                                        np.zeros(3))])
-    with pytest.raises(SingularGainError):
-        forward_pass(np.array([0.0]), est, gains, plant, [net])
+    assert forward_pass(np.array([0.0]), est, gains, plant, [net]).failed
+    assert not forward_pass(np.array([0.5]), est, gains, plant, [net]).failed
+    # one row of a batch fails alone
+    batch = AdaptiveState([StepEstimates(np.zeros((3, 1)), np.zeros((3, 1)),
+                                         np.zeros(3), np.zeros((3, 3)))])
+    ev = forward_pass(np.array([[0.5], [0.0], [-0.5]]), batch, gains, plant, [net])
+    assert ev.failed.tolist() == [False, True, False]
 
 
 # ---------------------------------------------------------------------------

@@ -62,3 +62,24 @@ def test_increment_shape_and_grid():
     path = wiener_increments(derive_stream(6, 0), 3, 500, 0.01)
     assert path.increments.shape == (500, 3)
     assert path.dim == 3 and path.dt == 0.01
+
+
+def test_ndtri_port_is_scipys_bit_for_bit():
+    # the normals come from a numpy port of the Cephes routine scipy uses;
+    # compare on a long Philox stream, deep tails and the branch edges
+    import math
+
+    from ancsim.rng import ndtri
+    special = pytest.importorskip("scipy.special")
+
+    def same(p):
+        return np.array_equal(ndtri(p).view(np.uint64), special.ndtri(p).view(np.uint64))
+
+    assert same(derive_stream(42, 7).uniform(4_000_000))
+    lo = math.log(2.0 ** -53)
+    tails = np.exp(derive_stream(43, 0).uniform(200_000, lo, -2.0))
+    assert same(np.concatenate([tails, 1.0 - tails]))
+    edges = [math.exp(-2.0), math.exp(-32.0), 1.0 - math.exp(-2.0), 2.0 ** -53,
+             1.0 - 2.0 ** -53, 0.5]
+    near = [np.nextafter(e, d) for e in edges for d in (0.0, 1.0)]
+    assert same(np.array([p for p in edges + near if 0.0 < p < 1.0]))
