@@ -1,7 +1,7 @@
 """Command-line entry points.
 
-Exit codes: 0 success, 1 configuration error, 2 divergence quota exceeded,
-3 verification failure.
+Exit codes: 0 success (``-h`` included), 1 configuration or usage error,
+2 divergence quota exceeded, 3 verification failure.
 """
 
 import argparse
@@ -59,7 +59,7 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load(args)
-    report, _ = monte_carlo(cfg, jobs=args.jobs, full_rate=args.full_rate)
+    report, _ = monte_carlo(cfg, full_rate=args.full_rate)
     for line in report.as_lines():
         print(line)
     if len(report.diverged) > 0.1 * cfg.runs:
@@ -107,7 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--runs", type=int, default=None)
     sweep.add_argument("--seed", type=int, default=None)
     sweep.add_argument("--out", default=None)
-    sweep.add_argument("--jobs", type=int, default=1)
     sweep.add_argument("--full-rate", action="store_true")
     sweep.set_defaults(func=cmd_sweep)
 
@@ -122,7 +121,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:        # argparse exits 0 after -h and 2 on a usage error
+        return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     try:
         return args.func(args)
     except ConfigError as exc:

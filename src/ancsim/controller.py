@@ -64,7 +64,7 @@ from .ineq import TANH_ABSORPTION_DELTA, tanh_absorption_gap
 from .rbf import RbfNetwork, basis_components
 
 __all__ = [
-    "StepGains", "GainConfig", "StepEstimates", "StepRates", "AdaptiveState",
+    "StepGains", "GainConfig", "StepEstimates", "AdaptiveState",
     "StepScratch", "ControlEval",
     "nn_input", "tanh_bound_terms", "adaptive_rates",
     "alpha_1", "compute_scratch", "forward_pass",
@@ -113,6 +113,9 @@ class GainConfig:
 
 @dataclass
 class StepEstimates:
+    """One step's estimates (vartheta, p, eps, W), or their rates: the
+    adaptive laws give one rate per estimate, in the same shapes."""
+
     vartheta_hat: np.ndarray         # (..., q)
     p_hat: np.ndarray                # (..., i)
     eps_hat: float                   # (...)
@@ -124,14 +127,6 @@ class StepEstimates:
 
 
 @dataclass
-class StepRates:
-    vartheta_hat: np.ndarray
-    p_hat: np.ndarray
-    eps_hat: float
-    W_hat: np.ndarray
-
-
-@dataclass
 class AdaptiveState:
     """All online estimates, one block of (vartheta, p, eps, W) per step."""
 
@@ -140,12 +135,12 @@ class AdaptiveState:
     def copy(self) -> "AdaptiveState":
         return AdaptiveState([s.copy() for s in self.steps])
 
-    def euler(self, rates: List[StepRates], dt: float) -> "AdaptiveState":
+    def euler(self, rates: List[StepEstimates], dt: float) -> "AdaptiveState":
         return AdaptiveState([_along(est, rate, dt)
                               for est, rate in zip(self.steps, rates)])
 
 
-def _along(est: StepEstimates, rate: StepRates, s) -> StepEstimates:
+def _along(est: StepEstimates, rate: StepEstimates, s) -> StepEstimates:
     """The estimates moved by s along the rates: est + s * rate, block by
     block; s is a number or one per batch row."""
     sv = np.asarray(s)[..., None]
@@ -188,7 +183,7 @@ class ControlEval:
     z: np.ndarray                    # (..., n)
     alphas: np.ndarray               # (..., n-1): alpha_1..alpha_{n-1}
     u: float                         # (...)
-    rates: List[StepRates]
+    rates: List[StepEstimates]
     failed: np.ndarray               # (...) bool: no control for this row
 
 
@@ -260,12 +255,12 @@ def _gain(G: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def adaptive_rates(i: int, z_i: float, w0, w1, w2, S_i: np.ndarray,
-                   est: StepEstimates, gains_i: StepGains) -> StepRates:
+                   est: StepEstimates, gains_i: StepGains) -> StepEstimates:
     """Leaky update rates: rate = Gamma (z^3 s - sigma * estimate)."""
     z3 = np.asarray(z_i * z_i * z_i)
     shape = z3.shape
     z3v = z3[..., None]
-    return StepRates(
+    return StepEstimates(
         vartheta_hat=_gain(gains_i.Gamma_vartheta, z3v * stack_entries(w2, shape)
                            - gains_i.sigma_vartheta * est.vartheta_hat),
         p_hat=_gain(gains_i.Gamma_p, z3v * stack_entries(w1, shape)
@@ -499,7 +494,7 @@ def _scratch_numeric(level, x, adaptive: AdaptiveState, gains: GainConfig,
                 (c[0] - c[1] - c[2] + c[3]) / (4.0 * h2[..., j] * h2[..., k])
             p += 4
 
-    base_rates = [StepRates(r.vartheta_hat[0], r.p_hat[0], r.eps_hat[0], r.W_hat[0])
+    base_rates = [StepEstimates(r.vartheta_hat[0], r.p_hat[0], r.eps_hat[0], r.W_hat[0])
                   for r in rates]
     flow, flow_failed = _estimate_flow(level, x0, adaptive, base_rates, gains, plant,
                                        nets, inner_mode)

@@ -5,16 +5,14 @@ all adaptive rates are evaluated at the current sample, the state advances by
 one Euler-Maruyama step and the estimates by one explicit Euler step on the
 same grid.  One run steps in unbatched shapes; a batch of runs steps as the
 rows of the same arrays, and each row rounds as it would alone, so a run's
-result does not depend on the batch it is in.  ``monte_carlo`` splits the
-runs into one contiguous batch per worker (each run owns its derived stream,
-so results are identical at any worker count), writes one CSV per run and a
-key-value report with a reproducibility digest.
+result does not depend on the batch it is in.  ``monte_carlo`` steps all of
+a sweep's runs as one batch in the calling process (each run owns its
+derived stream, so results are identical at any batch size), writes one CSV
+per run and a key-value report with a reproducibility digest.
 """
 
 import hashlib
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from numbers import Integral
 from typing import List, Optional
@@ -229,22 +227,8 @@ def emit_report(report: RunReport, path: str):
         raise OSError(f"cannot write report to {path}: {exc}") from exc
 
 
-# Plants hold closures, which do not pickle; workers therefore receive the
-# active config by fork inheritance rather than by argument.
-_ACTIVE_CONFIG: Optional[ExperimentConfig] = None
-
-
-def _worker(batch):
-    return run_closed_loop(_ACTIVE_CONFIG, batch)
-
-
-def _batches(runs: int, jobs: int) -> list:
-    """Runs 0..runs-1 as one contiguous batch per worker.  A batch of one run
-    is passed as its index, so it steps in unbatched shapes (plants written
-    with scalar ``math`` functions can still run one at a time)."""
-    chunks = np.array_split(np.arange(runs), min(jobs, runs))
-    return [int(c[0]) if len(c) == 1 else range(int(c[0]), int(c[-1]) + 1)
-            for c in chunks]
+# Kept only because the benchmark's tracer wraps it by name; nothing calls it.
+_worker = run_closed_loop
 
 
 def monte_carlo(config: ExperimentConfig, out_dir: Optional[str] = None,
@@ -252,29 +236,15 @@ def monte_carlo(config: ExperimentConfig, out_dir: Optional[str] = None,
     """Run the ensemble, write per-run CSVs plus a report; returns
     (report, records).
 
-    Each run derives its own stream from (master_seed, run_index) and its
-    result does not depend on its batch, so the results are identical at any
-    worker count.
+    All runs step as one batch in this process; a one-run sweep passes its
+    index, so it steps in unbatched shapes (a plant written with scalar
+    ``math`` functions still runs).  ``jobs`` is accepted and ignored; it is
+    kept only because the benchmark passes it.
     """
-    global _ACTIVE_CONFIG
     out_dir = out_dir or config.output_dir
     os.makedirs(out_dir, exist_ok=True)
-
-    use_pool = (jobs > 1 and config.runs > 1
-                and "fork" in multiprocessing.get_all_start_methods())
-    batches = _batches(config.runs, jobs if use_pool else 1)
-    if use_pool:
-        _ACTIVE_CONFIG = config
-        try:
-            ctx = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(max_workers=len(batches), mp_context=ctx) as pool:
-                results = list(pool.map(_worker, batches))
-        finally:
-            _ACTIVE_CONFIG = None
-    else:
-        results = [run_closed_loop(config, batch) for batch in batches]
-    records = [rec for batch, recs in zip(batches, results)
-               for rec in ([recs] if isinstance(batch, int) else recs)]
+    records = (run_closed_loop(config, range(config.runs)) if config.runs > 1
+               else [run_closed_loop(config, 0)])
 
     decim = 1 if full_rate else config.csv_decimation
     sha = hashlib.sha256()

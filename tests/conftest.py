@@ -1,5 +1,3 @@
-import multiprocessing
-
 import numpy as np
 import pytest
 
@@ -27,6 +25,5 @@ def section4_ensemble(tmp_path_factory):
     """The full 50-run ensemble at the bundled settings (shared; expensive)."""
     cfg = load_bundled("section4")
     out = tmp_path_factory.mktemp("ensemble")
-    jobs = max(1, multiprocessing.cpu_count())
-    report, records = monte_carlo(cfg, out_dir=str(out), jobs=jobs)
+    report, records = monte_carlo(cfg, out_dir=str(out))
     return cfg, report, records, str(out)

@@ -131,7 +131,7 @@ def test_energy_drift_negative_above_residual(section4_ensemble):
 def test_rerun_byte_identical(section4_ensemble, tmp_path):
     cfg, report, _, out_dir = section4_ensemble
     second = str(tmp_path / "second")
-    report2, _ = monte_carlo(cfg, out_dir=second, jobs=2)
+    report2, _ = monte_carlo(cfg, out_dir=second)
     names = sorted(f for f in os.listdir(out_dir) if f.endswith(".csv"))
     identical = all(filecmp.cmp(os.path.join(out_dir, f),
                                 os.path.join(second, f), shallow=False)

@@ -21,7 +21,7 @@ import workload    # noqa: E402
 from cascade3 import cascade3  # noqa: E402
 
 from ancsim import controller, harness  # noqa: E402
-from ancsim.config import load_bundled  # noqa: E402
+from ancsim.config import ExperimentConfig, load_bundled  # noqa: E402
 from ancsim.controller import AdaptiveState, forward_pass  # noqa: E402
 from ancsim.rng import derive_stream  # noqa: E402
 
@@ -117,3 +117,22 @@ def test_traced_round_counts_the_spans_it_divides_by(tmp_path):
     for name in ("harness.run", "controller.forward_pass", "monitor.truth_norms"):
         assert tracer.stats[name].count >= 1, name
     assert [dict(vars(owner)) for owner in owners] == before
+
+
+def test_one_run_sweep_keeps_unbatched_shapes(tmp_path):
+    # cascade3-deep is a one-run sweep of the benchmark's own cascade, whose
+    # plant calls math.sin and math.cos: that only works on lone values
+    plant, nets, gains, est = cascade3()
+    cfg = ExperimentConfig(plant=plant, x0=np.array([0.2, -0.1, 0.3]), horizon=0.1,
+                           dt=0.01, master_seed=7, runs=1, gains=gains,
+                           networks=nets, initial_estimates=est,
+                           output_dir=str(tmp_path))
+    _, records = harness.monte_carlo(cfg)
+    alone = harness.run_closed_loop(cfg, 0)
+    assert len(records) == 1 and len(alone) == 11 and not alone.diverged
+    rec = records[0]
+    assert (rec.diverged, rec.diverged_step) == (alone.diverged, alone.diverged_step)
+    for a, b in [(rec.times, alone.times), (rec.states, alone.states),
+                 (rec.controls, alone.controls)] + \
+            [(rec.diagnostics[k], alone.diagnostics[k]) for k in alone.diagnostics]:
+        assert a.shape == b.shape and np.array_equal(a, b)

@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ancsim
 from ancsim.cli import main
 from ancsim.config import (ConfigError, bundled_preset_names,
                            bundled_preset_text, load_bundled, load_config,
@@ -476,6 +479,28 @@ def test_cli_bad_overrides_exit_one(tmp_path, capsys):
     assert "--seed" in err and "--run-index" in err
     assert main(["sweep", "--config", cfgp, "--runs", "0"]) == 1
     assert "--runs" in capsys.readouterr().err
+
+
+def test_cli_usage_errors_exit_one(tmp_path, capsys):
+    # argparse's own usage exit, 2, would read as the divergence quota
+    cfgp = write_quick_config(tmp_path)
+    assert main(["sweep"]) == 1
+    assert main(["sweep", "--config", cfgp, "--jobs", "2"]) == 1
+    assert "--jobs" in capsys.readouterr().err
+    assert main(["-h"]) == 0
+    assert "sweep" in capsys.readouterr().out
+
+
+def test_import_loads_no_process_pool():
+    # a sweep steps in the calling process; the package needs no pool module
+    src = os.path.dirname(os.path.dirname(ancsim.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, ancsim, ancsim.harness; print(sorted(m for m in "
+            "('multiprocessing', 'concurrent.futures') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 @pytest.mark.parametrize("x0", OVERFLOW_X0)
