@@ -27,8 +27,11 @@ OUTPUT_DIR_ENV = "ANCSIM_OUT"
 
 TAIL_FRACTION = 0.75        # tail statistics start at this fraction of the horizon
 # The harness keeps every sample of a run in memory, and each network node
-# adds a row and a column to its l x l weight-adaptation gain.
+# adds a row and a column to its l x l weight-adaptation gain.  MAX_STEPS
+# keeps the step count finite at parse time; MAX_SWEEP_BYTES bounds what a
+# batch of runs holds at once (its Wiener increments and sample tables).
 MAX_STEPS = 10 ** 8
+MAX_SWEEP_BYTES = 2 * 2 ** 30
 MAX_NODES = 1024
 
 _GAIN_FIELDS = ("c", "gamma_eps", "sigma_vartheta", "sigma_p", "sigma_eps",

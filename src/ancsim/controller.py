@@ -60,7 +60,6 @@ from typing import List, Optional
 import numpy as np
 
 from .autodiff import Jet, jabs, jpow, jsum, jtanh, stack_entries, variable
-from .ineq import TANH_ABSORPTION_DELTA, tanh_absorption_gap
 from .rbf import RbfNetwork, basis_components
 
 __all__ = [
@@ -275,36 +274,25 @@ def adaptive_rates(i: int, z_i: float, w0, w1, w2, S_i: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def _step_quantities(i, xs, est, gains_i: StepGains, plant, net: RbfNetwork,
-                     scratch: Optional[StepScratch], rates_prev, final_step: bool,
-                     debug_pairs=None):
+                     scratch: Optional[StepScratch], rates_prev, final_step: bool):
     """All step-i quantities at a point (or a batch of points); xs holds the
-    state components, jets for i == 1 in the dual jet pass."""
-    xbar = xs[:i]
-    if i == 1:
-        z = xs[0]
-        Phi_stack = [plant.Phi_bound[0](xbar)]
-        varphi_stack = list(plant.varphi_bound[0](xbar))
-        phis = [list(plant.phi[0](xbar))]
-        designer = Phi_stack + varphi_stack
-        Z = nn_input(1, xs)
-    else:
-        a = scratch
-        grad = [a.grad_x[..., j] for j in range(i - 1)]
-        z = xs[i - 1] - a.alpha
-        Phis = [plant.Phi_bound[j](xs[: j + 1]) for j in range(i)]
-        Phi_stack = [grad[j] * Phis[j] for j in range(i - 1)] + [Phis[-1]]
-        envs = [list(plant.varphi_bound[j](xs[: j + 1])) for j in range(i)]
-        varphi_stack = envs[-1]
-        for j in range(i - 1):
-            varphi_stack = [vk + grad[j] * ek for vk, ek in zip(varphi_stack, envs[j])]
-        phis = [list(plant.phi[j](xs[: j + 1])) for j in range(i)]
-        designer = Phis + [e for env in envs for e in env]
-        Z = nn_input(i, xs, a.alpha, a.grad_x)
-    rho = phis[-1]
+    state components, jets for i == 1 in the dual jet pass.  Step 1 has no
+    earlier step to cancel: no scratch, an empty gradient and z_1 = x_1."""
+    first = scratch is None
+    grad = [] if first else [scratch.grad_x[..., j] for j in range(i - 1)]
+    z = xs[0] if first else xs[i - 1] - scratch.alpha
+    Phis = [plant.Phi_bound[j](xs[: j + 1]) for j in range(i)]
+    Phi_stack = [grad[j] * Phis[j] for j in range(i - 1)] + [Phis[-1]]
+    envs = [list(plant.varphi_bound[j](xs[: j + 1])) for j in range(i)]
+    phis = [list(plant.phi[j](xs[: j + 1])) for j in range(i)]
+    varphi_stack, rho = envs[-1], phis[-1]
     for j in range(i - 1):
+        varphi_stack = [vk + grad[j] * ek for vk, ek in zip(varphi_stack, envs[j])]
         rho = [rk - grad[j] * pk for rk, pk in zip(rho, phis[j])]
+    designer = Phis + [e for env in envs for e in env]
+    Z = nn_input(1, xs) if first else nn_input(i, xs, scratch.alpha, scratch.grad_x)
 
-    g = plant.g[i - 1](xbar)
+    g = plant.g[i - 1](xs[:i])
     gv = _val(g)
     # An overflowing designer-known function (exp of a large state, where
     # math.exp raised) fails its row, as a singular gain does.  One isfinite
@@ -341,17 +329,8 @@ def _step_quantities(i, xs, est, gains_i: StepGains, plant, net: RbfNetwork,
                          + (scratch.d_W[0] * r.W_hat).sum(axis=-1))
         failed = failed | scratch.failed
     alpha = terms / g
-
-    if debug_pairs is not None:
-        zv = _val(z)
-        z3 = zv * zv * zv
-        debug_pairs.append((z3, gains_i.eps0))
-        debug_pairs.extend((z3 * _val(v), gains_i.eps1) for v in Phi_stack)
-        debug_pairs.extend((z3 * _val(v), gains_i.eps2) for v in varphi_stack)
-
     return {"z": z, "alpha": alpha, "g": g, "w0": w0, "w1": w1, "w2": w2,
-            "S": S, "Phi_stack": Phi_stack, "varphi_stack": varphi_stack,
-            "failed": failed}
+            "S": S, "failed": failed}
 
 
 def _own_step_partials(q):
@@ -372,7 +351,7 @@ def _own_step_partials(q):
 
 
 def _steps_through(level, x, adaptive: AdaptiveState, gains: GainConfig, plant,
-                   nets, mode: str, final_step: bool = False, debug_pairs=None):
+                   nets, mode: str, final_step: bool = False):
     """Steps 1..level at a float point (or a batch of points).
 
     Returns every step's quantities and the rates of steps 1..level-1.  In
@@ -390,15 +369,13 @@ def _steps_through(level, x, adaptive: AdaptiveState, gains: GainConfig, plant,
             rates.append(adaptive_rates(i - 1, q["z"], q["w0"], q["w1"], q["w2"],
                                         q["S"], adaptive.steps[i - 2], gains[i - 2]))
         if i == 1 and level >= 2 and mode == "dual":
-            scratch, q = _scratch_first_level_jets(x, adaptive, gains, plant, nets,
-                                                   debug_pairs)
+            scratch, q = _scratch_first_level_jets(x, adaptive, gains, plant, nets)
         else:
             if i >= 2 and scratch is None:
                 scratch = compute_scratch(i, x, adaptive, gains, plant, nets, mode=mode)
             q = _step_quantities(i, xs, adaptive.steps[i - 1], gains[i - 1], plant,
                                  nets[i - 1], scratch, rates,
-                                 final_step=final_step and i == level,
-                                 debug_pairs=debug_pairs)
+                                 final_step=final_step and i == level)
             scratch = None
         qs.append(q)
     return qs, rates
@@ -419,15 +396,14 @@ def _chain_alpha_value(level, x, adaptive: AdaptiveState, gains: GainConfig,
 # ---------------------------------------------------------------------------
 
 def _scratch_first_level_jets(x, adaptive: AdaptiveState, gains: GainConfig,
-                              plant, nets, debug_pairs=None):
+                              plant, nets):
     """Jet pass through step 1; returns (scratch, step-1 quantity values).
 
     Only x_1 is tagged: the estimates enter as plain numbers, and their
     partials come from :func:`_own_step_partials`.
     """
     out = _step_quantities(1, [variable(x[..., 0])], adaptive.steps[0], gains[0],
-                           plant, nets[0], None, [], final_step=False,
-                           debug_pairs=debug_pairs)
+                           plant, nets[0], None, [], final_step=False)
     aj = out["alpha"]
     q = {k: _quantity_values(v) for k, v in out.items()}
     # alpha_1 is finite only if every regressor (hence every partial) is
@@ -542,6 +518,7 @@ def _estimate_flow(level, x0, adaptive: AdaptiveState, rates, gains: GainConfig,
     return flow, np.any(np.broadcast_to(q["failed"], a.shape), axis=0)
 
 
+@np.errstate(all="ignore")     # failed rows are flagged, not warned about
 def compute_scratch(i: int, x, adaptive: AdaptiveState, gains: GainConfig,
                     plant, nets, mode: str = "dual") -> StepScratch:
     """Derivatives of alpha_{i-1} in the states and the estimates.
@@ -569,6 +546,7 @@ def compute_scratch(i: int, x, adaptive: AdaptiveState, gains: GainConfig,
 # public control-law entry points
 # ---------------------------------------------------------------------------
 
+@np.errstate(all="ignore")
 def alpha_1(x1: float, adaptive: AdaptiveState, gains: GainConfig, plant,
             nets) -> float:
     """First intermediate law (final-step form is never used here)."""
@@ -578,8 +556,9 @@ def alpha_1(x1: float, adaptive: AdaptiveState, gains: GainConfig, plant,
     return q["alpha"]
 
 
+@np.errstate(all="ignore")
 def forward_pass(x, adaptive: AdaptiveState, gains: GainConfig, plant, nets,
-                 mode: str = "dual", debug: bool = False) -> ControlEval:
+                 mode: str = "dual") -> ControlEval:
     """Evaluate the whole cascade once: z, alphas, u and all adaptive rates.
 
     ``x`` is one state (n,) or a batch (..., n) with matching estimate
@@ -588,9 +567,7 @@ def forward_pass(x, adaptive: AdaptiveState, gains: GainConfig, plant, nets,
     n = plant.n
     x = np.asarray(x, dtype=float)
     shape = x.shape[:-1]
-    debug_pairs = [] if debug else None
-    qs, rates = _steps_through(n, x, adaptive, gains, plant, nets, mode,
-                               final_step=True, debug_pairs=debug_pairs)
+    qs, rates = _steps_through(n, x, adaptive, gains, plant, nets, mode, final_step=True)
     last = qs[-1]
     rates.append(adaptive_rates(n, last["z"], last["w0"], last["w1"], last["w2"],
                                 last["S"], adaptive.steps[n - 1], gains[n - 1]))
@@ -599,12 +576,4 @@ def forward_pass(x, adaptive: AdaptiveState, gains: GainConfig, plant, nets,
     failed = np.zeros(shape, dtype=bool)
     for q in qs:
         failed = failed | q["failed"]
-
-    if debug_pairs:
-        for v, eps in debug_pairs:
-            gap = tanh_absorption_gap(v, eps)
-            if not np.all((-1e-12 <= gap) & (gap <= TANH_ABSORPTION_DELTA * eps + 1e-12)):
-                raise AssertionError(
-                    f"tanh absorption bound violated: gap={gap} eps={eps}")
-
     return ControlEval(z=z, alphas=alphas, u=last["alpha"], rates=rates, failed=failed)

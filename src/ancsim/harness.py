@@ -13,13 +13,13 @@ per run and a key-value report with a reproducibility digest.
 
 import hashlib
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from numbers import Integral
 from typing import List, Optional
 
 import numpy as np
 
-from .config import TAIL_FRACTION, ExperimentConfig
+from .config import MAX_SWEEP_BYTES, TAIL_FRACTION, ConfigError, ExperimentConfig
 from .controller import AdaptiveState, StepEstimates, forward_pass
 from .monitor import (bounded_in_probability_stat, convergence_stat,
                       empirical_drift, lambda_K, reference_truth_norms,
@@ -54,7 +54,7 @@ class RunReport:
     drift_negative_above_residual: bool
     csv_digest: str
     digest: str = ""
-    extra: dict = field(default_factory=dict)
+    tail_sup_per_run: str = ""           # "run:sup;..." over the runs that did not halt
 
     def as_lines(self) -> List[str]:
         rows = {
@@ -75,9 +75,8 @@ class RunReport:
             "max_estimate_norm": _fmt(self.max_estimate_norm),
             "drift_negative_above_residual": self.drift_negative_above_residual,
             "csv_digest": self.csv_digest,
+            "tail_sup_per_run": self.tail_sup_per_run,
         }
-        for k, v in sorted(self.extra.items()):
-            rows[k] = v
         for level, frac in sorted(self.exceedance.items()):
             rows[f"exceedance_at_{level}"] = _fmt(frac)
         lines = [f"{k} = {v}" for k, v in rows.items()]
@@ -116,18 +115,25 @@ def run_closed_loop(config: ExperimentConfig, run_index):
     finite, the control is not finite, the controller fails there (singular
     gain, non-finite derivative, an overflowing designer-known function), or
     the plant overflows; see :class:`~ancsim.sde.TrajectoryRecord`.  A halted
-    row is frozen while the others carry on.
+    row is frozen while the others carry on.  Raises ConfigError, before
+    allocating anything, when the batch's increments and sample tables would
+    take more than ``MAX_SWEEP_BYTES``.
     """
     plant = config.plant
     n = plant.n
     steps = int(np.floor(config.horizon / config.dt))
     batched = not isinstance(run_index, Integral)
+    count = len(run_index) if batched else 1
+    need = 8 * count * (steps * plant.r + (steps + 1) * len(columns(n)))
+    if need > MAX_SWEEP_BYTES:
+        raise ConfigError([f"runs x horizon: {count} runs of {steps} steps need "
+                           f"{need} bytes, over the {MAX_SWEEP_BYTES} byte cap"])
     runs = list(run_index) if batched else [run_index]
     lead = (len(runs),) if batched else ()
     noise = np.empty(lead + (steps, plant.r))
     for block, i in zip(noise.reshape(-1, steps, plant.r), runs):
         block[:] = wiener_increments(derive_stream(config.master_seed, i), plant.r,
-                                     steps, config.dt).increments
+                                     steps, config.dt)
 
     def rows(v):                          # v repeated for every run of the batch
         return np.array(np.broadcast_to(v, lead + np.shape(v)))
@@ -300,8 +306,7 @@ def summarize(config: ExperimentConfig, records: List[TrajectoryRecord],
         tail_mean_Vx=tail_mean_vx, max_estimate_norm=max_est,
         drift_negative_above_residual=drift_ok,
         csv_digest=csv_digest,
-        extra={"tail_sup_per_run": ";".join(
-            f"{i}:{_fmt(v)}" for i, v in sorted(per_run_tail.items()))},
+        tail_sup_per_run=";".join(f"{i}:{_fmt(v)}" for i, v in sorted(per_run_tail.items())),
     )
     body = "\n".join(report.as_lines()[:-1])
     report.digest = hashlib.sha256(body.encode()).hexdigest()

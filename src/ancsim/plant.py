@@ -124,33 +124,31 @@ def check_assumptions(plant: StrictFeedbackPlant, box: np.ndarray,
     box = np.asarray(box, dtype=float)
     xs = np.stack([stream.uniform(sample_count, lo, hi) for lo, hi in box], axis=1)
     ts = stream.uniform(sample_count, 0.0, t_max)
+    cols = [xs[:, j] for j in range(plant.n)]
+    rows = (sample_count,)
 
     d_ratios = np.zeros(plant.n)
     s_ratios = np.zeros((plant.n, plant.q))
-    for x, t in zip(xs, ts):
-        for i in range(plant.n):
-            xbar = list(x[: i + 1])
-            num = abs(plant.Delta[i](x, t))
-            den = plant.p_star[i] * plant.Phi_bound[i](xbar)
-            if den == 0.0:
-                if num > 0.0:
-                    d_ratios[i] = np.inf
-            else:
-                d_ratios[i] = max(d_ratios[i], num / den)
-            psi = np.asarray(plant.Psi[i](xbar), dtype=float)
-            env = np.asarray(plant.varphi_bound[i](xbar), dtype=float)
-            for j in range(plant.q):
-                num_j = abs(psi[j])
-                den_j = plant.b_star[i, j] * env[j]
-                if den_j == 0.0:
-                    if num_j > 0.0:
-                        s_ratios[i, j] = np.inf
-                else:
-                    s_ratios[i, j] = max(s_ratios[i, j], num_j / den_j)
+    for i in range(plant.n):
+        xbar = cols[: i + 1]
+        delta = np.broadcast_to(plant.Delta[i](xs, ts), rows)
+        Phi = np.broadcast_to(plant.Phi_bound[i](xbar), rows)
+        psi = np.broadcast_to(plant.Psi[i](xbar), rows + (plant.q,))
+        env = stack_entries(plant.varphi_bound[i](xbar), rows)
+        d_ratios[i] = _worst_ratio(np.abs(delta), plant.p_star[i] * Phi)
+        s_ratios[i] = _worst_ratio(np.abs(psi), plant.b_star[i] * env)
 
     tol = 1.0 + 1e-9
     passed = bool(np.all(d_ratios <= tol) and np.all(s_ratios <= tol))
     return AssumptionReport(d_ratios, s_ratios, passed)
+
+
+def _worst_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """Largest num / den over the samples (the leading axis): 0/0 is skipped
+    and x/0 with x > 0 counts as inf."""
+    zero = den == 0.0
+    ratio = np.where(zero, np.where(num > 0.0, np.inf, 0.0), num / np.where(zero, 1.0, den))
+    return ratio.max(axis=0, initial=0.0)
 
 
 def preset_section4(noise_scale: float = 1.0,

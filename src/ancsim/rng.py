@@ -17,12 +17,11 @@ stream does not depend on numpy's distribution implementations.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Philox, SeedSequence
 
-__all__ = ["NormalStream", "WienerPath", "derive_stream", "ndtri", "wiener_increments"]
+__all__ = ["NormalStream", "derive_stream", "ndtri", "wiener_increments"]
 
 _U64_TO_UNIT = 2.0 ** -53
 
@@ -86,19 +85,6 @@ def ndtri(p) -> np.ndarray:
     return out
 
 
-@dataclass
-class WienerPath:
-    """Increments of an r-dimensional standard Wiener process on a fixed grid.
-
-    Each entry of ``increments`` (shape ``(steps, dim)``) is distributed
-    Normal(0, dt), independent across steps and coordinates.
-    """
-
-    dim: int
-    dt: float
-    increments: np.ndarray
-
-
 class NormalStream:
     """A seedable stream of uniform/normal variates backed by Philox."""
 
@@ -123,10 +109,12 @@ def derive_stream(master_seed: int, run_index: int) -> NormalStream:
     return NormalStream(SeedSequence(master_seed, spawn_key=(run_index,)))
 
 
-def wiener_increments(stream: NormalStream, r: int, steps: int, dt: float) -> WienerPath:
-    """Draw ``steps`` increments of an r-dimensional Wiener process.
+def wiener_increments(stream: NormalStream, r: int, steps: int, dt: float) -> np.ndarray:
+    """Draw ``steps`` increments of an r-dimensional Wiener process on a grid
+    of spacing dt, as a ``(steps, r)`` array.
 
-    Entries are i.i.d. Normal(0, dt).  Raises ValueError for dt <= 0 or r < 1.
+    Entries are i.i.d. Normal(0, dt), independent across steps and
+    coordinates.  Raises ValueError for dt <= 0 or r < 1.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -135,4 +123,4 @@ def wiener_increments(stream: NormalStream, r: int, steps: int, dt: float) -> Wi
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     z = stream.normal(steps * r).reshape(steps, r)
-    return WienerPath(dim=r, dt=dt, increments=z * np.sqrt(dt))
+    return z * np.sqrt(dt)

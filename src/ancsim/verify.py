@@ -80,10 +80,10 @@ def diffusion_split_check(samples: int = 100_000) -> CheckResult:
 
 
 def wiener_statistics_check(samples: int = 1_000_000, dt: float = 1e-3) -> CheckResult:
-    path = wiener_increments(derive_stream(_SEED, 4), 2, samples, dt)
-    var = np.var(path.increments, axis=0)
-    mean = np.mean(path.increments, axis=0)
-    corr = np.corrcoef(path.increments.T)[0, 1]
+    dw = wiener_increments(derive_stream(_SEED, 4), 2, samples, dt)
+    var = np.var(dw, axis=0)
+    mean = np.mean(dw, axis=0)
+    corr = np.corrcoef(dw.T)[0, 1]
     sigma_mean = np.sqrt(dt / samples)
     ok = (np.all(np.abs(var / dt - 1.0) < 0.05)
           and np.all(np.abs(mean) < 5 * sigma_mean)
@@ -103,12 +103,12 @@ def stream_determinism_check() -> CheckResult:
 def sde_basics_check() -> CheckResult:
     """Drive ``em_update`` (the harness's update) on two closed-form SDEs."""
     x = np.array([1.0])
-    for dw in wiener_increments(derive_stream(_SEED, 7), 1, 50_000, 1e-4).increments:
+    for dw in wiener_increments(derive_stream(_SEED, 7), 1, 50_000, 1e-4):
         x = em_update(x, -x, np.zeros((1, 1)), 1e-4, dw)     # dx = -x dt
     err = abs(x[0] - np.exp(-5.0))
     x0 = np.array([3.0, -1.0])
     x, const = x0, True
-    for dw in wiener_increments(derive_stream(_SEED, 8), 1, 100, 1e-2).increments:
+    for dw in wiener_increments(derive_stream(_SEED, 8), 1, 100, 1e-2):
         x = em_update(x, np.zeros(2), np.zeros((2, 1)), 1e-2, dw)
         const = const and np.array_equal(x, x0)
     return _result("sde_basics", err < 1e-2 and const,
@@ -150,10 +150,8 @@ def plant_structural_check() -> CheckResult:
                                 derive_stream(_SEED, 10))
         ok = ok and rep.passed
         stream = derive_stream(_SEED, 11)
-        xs = np.stack([stream.uniform(2000, lo, hi) for lo, hi in plant.domain_box],
-                      axis=1)
-        gmin = min(min(plant.g[i](list(x[: i + 1])) for x in xs)
-                   for i in range(plant.n))
+        xs = [stream.uniform(2000, lo, hi) for lo, hi in plant.domain_box]
+        gmin = min(np.min(plant.g[i](xs[: i + 1])) for i in range(plant.n))
         ok = ok and gmin >= 0.5
         details.append(f"{plant.name}: assumptions={rep.passed} g_min={gmin:.3f}")
     return _result("plant_structural", ok, " ".join(details))

@@ -149,8 +149,8 @@ def test_rerun_byte_identical(section4_ensemble, tmp_path):
 def test_wiener_increment_statistics():
     dt = 1e-3
     path = wiener_increments(derive_stream(103, 0), 2, 1_000_000, dt)
-    var = np.var(path.increments, axis=0)
-    corr = np.corrcoef(path.increments.T)[0, 1]
+    var = np.var(path, axis=0)
+    corr = np.corrcoef(path.T)[0, 1]
     ok = bool(np.all(np.abs(var / dt - 1.0) < 0.05) and abs(corr) < 0.01)
     _report("wiener-statistics", ok,
             f"var/dt={var / dt} |corr|={abs(corr):.5f}")

@@ -512,14 +512,6 @@ def test_u_agrees_across_scratch_modes(section4_config):
         assert abs(u_dual - u_num) <= 1e-6 * max(1.0, abs(u_dual))
 
 
-def test_debug_mode_checks_absorption_online(section4_config):
-    cfg = section4_config
-    stream = derive_stream(26, 0)
-    for _ in range(5):
-        forward_pass(stream.uniform(2, -2, 2), random_estimates(stream),
-                     cfg.gains, cfg.plant, cfg.networks, debug=True)
-
-
 def test_singular_gain_fails_the_row():
     plant = StrictFeedbackPlant(
         name="singular", n=1, r=1, q=1,

@@ -491,6 +491,14 @@ def test_cli_usage_errors_exit_one(tmp_path, capsys):
     assert "sweep" in capsys.readouterr().out
 
 
+def test_oversized_sweep_is_a_config_error(tmp_path, capsys):
+    # a million 20 s section4 runs would hold about 2.7 TB of increments and
+    # samples; the sweep is refused before anything is allocated
+    cfgp = write_quick_config(tmp_path, horizon=20.0)
+    assert main(["sweep", "--config", cfgp, "--runs", "1000000"]) == 1
+    assert "byte cap" in capsys.readouterr().err
+
+
 def test_import_loads_no_process_pool():
     # a sweep steps in the calling process; the package needs no pool module
     src = os.path.dirname(os.path.dirname(ancsim.__file__))

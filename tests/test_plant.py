@@ -87,7 +87,7 @@ def test_assumptions_flag_constructed_violation():
     bad = StrictFeedbackPlant(
         name="bad", n=plant.n, r=plant.r, q=plant.q, g=plant.g, f=plant.f,
         theta_star=plant.theta_star, Psi=plant.Psi,
-        Delta=[lambda x, t: x[0] ** 2, plant.Delta[1]],
+        Delta=[lambda x, t: x[..., 0] ** 2, plant.Delta[1]],
         phi=plant.phi,
         Phi_bound=plant.Phi_bound,              # envelope |x1| with p*=1
         p_star=np.array([1.0, 0.0]),

@@ -41,13 +41,13 @@ def test_wiener_rejects_bad_arguments():
 def test_wiener_variance_matches_dt():
     dt = 1e-3
     path = wiener_increments(derive_stream(3, 0), 1, 200_000, dt)
-    var = np.var(path.increments)
+    var = np.var(path)
     assert 0.95 * dt < var < 1.05 * dt
 
 
 def test_wiener_coordinates_uncorrelated():
     path = wiener_increments(derive_stream(4, 0), 2, 200_000, 1e-3)
-    corr = np.corrcoef(path.increments.T)[0, 1]
+    corr = np.corrcoef(path.T)[0, 1]
     assert abs(corr) < 0.01
 
 
@@ -55,13 +55,13 @@ def test_wiener_mean_within_five_sigma():
     dt = 1e-3
     count = 200_000
     path = wiener_increments(derive_stream(5, 0), 1, count, dt)
-    assert abs(np.mean(path.increments)) < 5 * np.sqrt(dt / count)
+    assert abs(np.mean(path)) < 5 * np.sqrt(dt / count)
 
 
 def test_increment_shape_and_grid():
     path = wiener_increments(derive_stream(6, 0), 3, 500, 0.01)
-    assert path.increments.shape == (500, 3)
-    assert path.dim == 3 and path.dt == 0.01
+    assert path.shape == (500, 3)
+    assert np.array_equal(path, derive_stream(6, 0).normal(1500).reshape(500, 3) * np.sqrt(0.01))
 
 
 def test_ndtri_port_is_scipys_bit_for_bit():

@@ -13,7 +13,7 @@ def em_path(x0, drift, diffusion, horizon, dt, stream):
     steps = int(np.floor(horizon / dt))
     x = np.asarray(x0, dtype=float)
     path = [x]
-    for dw in wiener_increments(stream, diffusion(x).shape[1], steps, dt).increments:
+    for dw in wiener_increments(stream, diffusion(x).shape[1], steps, dt):
         x = em_update(x, drift(x), diffusion(x), dt, dw)
         path.append(x)
     return np.array(path)
