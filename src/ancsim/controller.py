@@ -36,8 +36,9 @@ The earlier steps' estimates enter the law only through the sum of their
 partials times their rates: the time derivative of alpha_{i-1} along the
 adaptive laws of steps 1..i-2.  That sum is one central difference of
 alpha_{i-1} along the rate direction (the directional, or tangent, mode of
-Griewank & Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 3), two
-evaluations whatever the number of estimates.
+Griewank & Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 3): two
+more rows, whatever the number of estimates, of the one evaluation whose
+other rows give the state derivatives.
 The state derivatives come in one of two modes: "dual" propagates a degree-2
 Taylor jet in x_1 through step 1 (machine precision for the first recursion
 level, which covers second-order plants); "numeric" uses central differences
@@ -97,6 +98,15 @@ class StepGains:
     eps1: float
     eps2: float
     young_eps1: float                # quartic diffusion split slack
+
+    def __setattr__(self, name, value):
+        # a Gamma is found diagonal (its diagonal kept) or full (None) once,
+        # when it is assigned; _gain reads the decision
+        if name.startswith("Gamma_"):
+            d = np.diagonal(value).copy() if np.ndim(value) == 2 else None
+            full = d is None or np.count_nonzero(value) != np.count_nonzero(d)
+            object.__setattr__(self, "_diag" + name[5:], None if full else d)
+        object.__setattr__(self, name, value)
 
 
 @dataclass
@@ -243,14 +253,14 @@ def _dot_seq(coeffs, terms):
     return acc
 
 
-def _gain(G: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Gamma v over the last axis of v.  A diagonal Gamma is applied
+def _gain(gains_i: StepGains, name: str, v: np.ndarray) -> np.ndarray:
+    """Gamma_<name> v over the last axis of v.  A diagonal Gamma is applied
     elementwise (the bits of the matrix product, at O(l) per row); a full
     one by a row reduction in a fixed order."""
-    d = np.diagonal(G)
-    if np.count_nonzero(G) == np.count_nonzero(d):
+    d = getattr(gains_i, "_diag_" + name)
+    if d is not None:
         return d * v
-    return (G * v[..., None, :]).sum(axis=-1)
+    return (getattr(gains_i, "Gamma_" + name) * v[..., None, :]).sum(axis=-1)
 
 
 def adaptive_rates(i: int, z_i: float, w0, w1, w2, S_i: np.ndarray,
@@ -260,12 +270,12 @@ def adaptive_rates(i: int, z_i: float, w0, w1, w2, S_i: np.ndarray,
     shape = z3.shape
     z3v = z3[..., None]
     return StepEstimates(
-        vartheta_hat=_gain(gains_i.Gamma_vartheta, z3v * stack_entries(w2, shape)
+        vartheta_hat=_gain(gains_i, "vartheta", z3v * stack_entries(w2, shape)
                            - gains_i.sigma_vartheta * est.vartheta_hat),
-        p_hat=_gain(gains_i.Gamma_p, z3v * stack_entries(w1, shape)
+        p_hat=_gain(gains_i, "p", z3v * stack_entries(w1, shape)
                     - gains_i.sigma_p * est.p_hat),
         eps_hat=gains_i.gamma_eps * (z3 * w0 - gains_i.sigma_eps * est.eps_hat),
-        W_hat=_gain(gains_i.Gamma_w, z3v * S_i - gains_i.sigma_w * est.W_hat),
+        W_hat=_gain(gains_i, "w", z3v * S_i - gains_i.sigma_w * est.W_hat),
     )
 
 
@@ -372,7 +382,8 @@ def _steps_through(level, x, adaptive: AdaptiveState, gains: GainConfig, plant,
             scratch, q = _scratch_first_level_jets(x, adaptive, gains, plant, nets)
         else:
             if i >= 2 and scratch is None:
-                scratch = compute_scratch(i, x, adaptive, gains, plant, nets, mode=mode)
+                scratch = compute_scratch(i, x, adaptive, gains, plant, nets, mode=mode,
+                                          rates=rates[: i - 2])
             q = _step_quantities(i, xs, adaptive.steps[i - 1], gains[i - 1], plant,
                                  nets[i - 1], scratch, rates,
                                  final_step=final_step and i == level)
@@ -386,7 +397,7 @@ def _chain_alpha_value(level, x, adaptive: AdaptiveState, gains: GainConfig,
     """Step ``level``'s quantities at a batch of float points x (..., level),
     and the rates of steps 1..level-1 (step ``level``'s own rates are not
     computed).  Difference stencils evaluate all their points in one call,
-    on a leading axis of x."""
+    on a leading axis of x and of the estimates that differ per point."""
     qs, rates = _steps_through(level, x, adaptive, gains, plant, nets, inner_mode)
     return qs[-1], rates
 
@@ -440,18 +451,35 @@ def _stencil(level: int):
 
 
 def _scratch_numeric(level, x, adaptive: AdaptiveState, gains: GainConfig,
-                     plant, nets, inner_mode: str) -> StepScratch:
+                     plant, nets, inner_mode: str, rates) -> StepScratch:
+    """Central differences of alpha_level over the rows of one evaluation:
+    the M stencil points at the held estimates, then two rows at x0 for the
+    flow along the adaptive laws of steps 1..level-1 (none at level 1).  In
+    those, the earlier steps' estimates move to est +- h * rate, with
+    h = FD_STEP_FIRST * max(1, |est|) / |rate| (norms over the concatenated
+    blocks); a zero rate gives exactly 0.0."""
     x0 = x[..., :level]
     steps = {1: FD_STEP_FIRST * np.maximum(1.0, np.abs(x0)),
              2: FD_STEP_SECOND * np.maximum(1.0, np.abs(x0))}
     moves = _stencil(level)
-    pts = np.empty((len(moves),) + x0.shape)
+    m = len(moves)
+    earlier = adaptive.steps[: level - 1]
+    pts = np.empty((m + 2 * bool(earlier),) + x0.shape)
     pts[:] = x0
     for p, move in enumerate(moves):
         for j, sign, kind in move:
             pts[p, ..., j] += sign * steps[kind][..., j]
-
-    q, rates = _chain_alpha_value(level, pts, adaptive, gains, plant, nets, inner_mode)
+    if earlier:
+        if rates is None:    # a standalone call: the rates as a pass gets them
+            rates = _chain_alpha_value(level, x0, adaptive, gains, plant, nets, inner_mode)[1]
+        rate_norm = _norm(rates)
+        still = rate_norm == 0.0
+        h = FD_STEP_FIRST * np.maximum(1.0, _norm(earlier)) / np.where(still, 1.0, rate_norm)
+        ends = np.stack(np.broadcast_arrays(h, -h))
+        adaptive = AdaptiveState([_held_then(e, _along(e, r, ends), m)
+                                  for e, r in zip(earlier, rates)]
+                                 + adaptive.steps[level - 1:])
+    q, _ = _chain_alpha_value(level, pts, adaptive, gains, plant, nets, inner_mode)
     a = np.broadcast_to(q["alpha"], pts.shape[:-1])
     alpha0 = a[0]
     h1, h2 = steps[1], steps[2]
@@ -470,15 +498,18 @@ def _scratch_numeric(level, x, adaptive: AdaptiveState, gains: GainConfig,
                 (c[0] - c[1] - c[2] + c[3]) / (4.0 * h2[..., j] * h2[..., k])
             p += 4
 
-    base_rates = [StepEstimates(r.vartheta_hat[0], r.p_hat[0], r.eps_hat[0], r.W_hat[0])
-                  for r in rates]
-    flow, flow_failed = _estimate_flow(level, x0, adaptive, base_rates, gains, plant,
-                                       nets, inner_mode)
+    flow = np.where(still, 0.0, (a[m] - a[m + 1]) / (2.0 * h)) if earlier else 0.0
     finite = (np.isfinite(alpha0) & np.all(np.isfinite(grad_x), axis=-1)
               & np.all(np.isfinite(hess), axis=(-2, -1)) & np.isfinite(flow))
-    failed = np.any(np.broadcast_to(q["failed"], a.shape), axis=0) | flow_failed | ~finite
+    failed = np.any(np.broadcast_to(q["failed"], a.shape), axis=0) | ~finite
     d_vt, d_p, d_eps, d_W = ([d[0]] for d in _own_step_partials(q))
     return StepScratch(alpha0, grad_x, hess, d_vt, d_p, d_eps, d_W, flow, failed)
+
+
+def _held_then(held: StepEstimates, moved: StepEstimates, m: int) -> StepEstimates:
+    """Per-row estimates: ``held`` on m leading rows, then the rows of ``moved``."""
+    return StepEstimates(*(np.concatenate([np.broadcast_to(h, (m,) + mv.shape[1:]), mv])
+                           for h, mv in zip(vars(held).values(), vars(moved).values())))
 
 
 def _norm(blocks) -> np.ndarray:
@@ -491,45 +522,20 @@ def _norm(blocks) -> np.ndarray:
     return np.sqrt(sq)
 
 
-def _estimate_flow(level, x0, adaptive: AdaptiveState, rates, gains: GainConfig,
-                   plant, nets, inner_mode: str):
-    """Time derivative of alpha_level along the adaptive laws of steps
-    1..level-1, with step ``level``'s estimates held; returns it with the
-    rows whose evaluations failed.
-
-    One central difference along the rates: those steps' estimates move
-    together to est +- h * rate, with h = FD_STEP_FIRST * max(1, |est|) / |rate|
-    (norms over the concatenated blocks); both ends are rows of one
-    evaluation.  A zero rate gives exactly 0.0.
-    """
-    earlier = adaptive.steps[: level - 1]
-    if not earlier:
-        return 0.0, False
-    rate_norm = _norm(rates)
-    still = rate_norm == 0.0
-    h = FD_STEP_FIRST * np.maximum(1.0, _norm(earlier)) / np.where(still, 1.0, rate_norm)
-    ends = np.stack(np.broadcast_arrays(h, -h))
-    moved = AdaptiveState([_along(e, r, ends) for e, r in zip(earlier, rates)]
-                          + adaptive.steps[level - 1:])
-    q, _ = _chain_alpha_value(level, np.broadcast_to(x0, (2,) + x0.shape), moved,
-                              gains, plant, nets, inner_mode)
-    a = np.broadcast_to(q["alpha"], (2,) + x0.shape[:-1])
-    flow = np.where(still, 0.0, (a[0] - a[1]) / (2.0 * h))
-    return flow, np.any(np.broadcast_to(q["failed"], a.shape), axis=0)
-
-
 @np.errstate(all="ignore")     # failed rows are flagged, not warned about
 def compute_scratch(i: int, x, adaptive: AdaptiveState, gains: GainConfig,
-                    plant, nets, mode: str = "dual") -> StepScratch:
+                    plant, nets, mode: str = "dual", rates=None) -> StepScratch:
     """Derivatives of alpha_{i-1} in the states and the estimates.
 
     The partials in step i-1's own estimates are exact in both modes (closed
     form, see :func:`_own_step_partials`).  mode "dual" runs a degree-2
     Taylor jet in x_1 (exact) for the first recursion level; for deeper
     levels the state derivatives and the estimate flow of the earlier steps
-    (:func:`_estimate_flow`) chain central differences over evaluations whose
-    inner scratches are exact.  mode "numeric" uses central differences for
-    all of those.
+    are central differences over the rows of one evaluation whose inner
+    scratches are exact (:func:`_scratch_numeric`).  mode "numeric" uses
+    central differences for all of those.  ``rates`` are steps 1..i-2's
+    rates at x, as the calling pass holds them; without them, i >= 3 first
+    evaluates alpha_{i-1} at x for them.
     """
     if i < 2:
         raise ValueError("scratch is defined for steps i >= 2")
@@ -539,7 +545,7 @@ def compute_scratch(i: int, x, adaptive: AdaptiveState, gains: GainConfig,
     level = i - 1
     if mode == "dual" and level == 1:
         return _scratch_first_level_jets(x, adaptive, gains, plant, nets)[0]
-    return _scratch_numeric(level, x, adaptive, gains, plant, nets, mode)
+    return _scratch_numeric(level, x, adaptive, gains, plant, nets, mode, rates)
 
 
 # ---------------------------------------------------------------------------

@@ -118,8 +118,10 @@ def test_run_csv_bytes_do_not_depend_on_the_batch(make, tmp_path):
 
 
 def test_cascade3_stencil_rows_are_the_per_point_values(monkeypatch):
-    # the 13 state-stencil points and the 2 moved-estimate points go through
-    # one call each; every row equals that point evaluated on its own
+    # inside forward_pass the step-3 scratch is one call of 15 rows: the 13
+    # state-stencil points at the held estimates, then x0 twice with the
+    # step-1 estimates moved along their rates (steps 2 and 3 held); every
+    # row, with its own estimates, equals that point evaluated on its own
     cfg = load_bundled("cascade3")
     adaptive = cfg.initial_estimates.copy()
     for est in adaptive.steps:
@@ -132,20 +134,28 @@ def test_cascade3_stencil_rows_are_the_per_point_values(monkeypatch):
         calls.append((level, np.array(x), est, args, q["alpha"]))
         return q, rates
     monkeypatch.setattr(controller, "_chain_alpha_value", recording)
-    controller.compute_scratch(3, np.array([0.3, -0.2, 0.1]), adaptive, cfg.gains,
-                               cfg.plant, cfg.networks, mode="dual")
+    controller.forward_pass(np.array([0.3, -0.2, 0.1]), adaptive, cfg.gains,
+                            cfg.plant, cfg.networks, mode="dual")
     monkeypatch.setattr(controller, "_chain_alpha_value", real)
-    assert [len(c[1]) for c in calls] == [13, 2]
-    for level, pts, est, args, alphas in calls:
-        for r in range(len(pts)):
-            row = controller.AdaptiveState([
-                controller.StepEstimates(*(np.asarray(v)[r] if np.ndim(v) > base else v
-                                           for v, base in zip(
-                                               (s.vartheta_hat, s.p_hat, s.eps_hat, s.W_hat),
-                                               (1, 1, 0, 1))))
-                for s in est.steps])
-            alone, _ = real(level, pts[r], row, *args)
-            assert _bits(alone["alpha"]) == _bits(alphas[r])
+    assert [c[1].shape for c in calls] == [(15, 2)]
+    level, pts, est, args, alphas = calls[0]
+    held, moved = adaptive.steps[0], est.steps[0]
+    assert np.array_equal(pts[13], pts[0]) and np.array_equal(pts[14], pts[0])
+    for attr in ("vartheta_hat", "p_hat", "eps_hat", "W_hat"):
+        rows = np.asarray(getattr(moved, attr))
+        assert np.array_equal(rows[:13], np.broadcast_to(getattr(held, attr), rows[:13].shape))
+    assert not np.array_equal(moved.W_hat[13], held.W_hat)
+    assert not np.array_equal(moved.W_hat[14], held.W_hat)
+    assert all(a is b for a, b in zip(est.steps[1:], adaptive.steps[1:]))
+    for r in range(len(pts)):
+        row = controller.AdaptiveState([
+            controller.StepEstimates(*(np.asarray(v)[r] if np.ndim(v) > base else v
+                                       for v, base in zip(
+                                           (s.vartheta_hat, s.p_hat, s.eps_hat, s.W_hat),
+                                           (1, 1, 0, 1))))
+            for s in est.steps])
+        alone, _ = real(level, pts[r], row, *args)
+        assert _bits(alone["alpha"]) == _bits(alphas[r])
 
 
 def test_guard_halts_one_row_and_the_others_carry_on(monkeypatch):

@@ -62,6 +62,25 @@ def test_traced_forward_pass_feeds_the_jet_spans_and_gauge(tmp_path):
     assert [dict(vars(owner)) for owner in owners] == before
 
 
+def test_traced_cascade3_forward_pass_takes_one_chain_evaluation(tmp_path):
+    # the step-3 scratch's stencil and estimate-flow rows are one call of
+    # controller._chain_alpha_value, made through the module name the span
+    # wraps, so controller.chain_evals_per_step reads 1 on cascade3
+    cfg = load_bundled("cascade3")
+    owners = (harness, controller, AdaptiveState)
+    before = [dict(vars(owner)) for owner in owners]
+    tracer = spans.Tracer(str(tmp_path))
+    try:
+        workload.install_spans(tracer)
+        harness.forward_pass(np.array([0.3, -0.2, 0.1]), cfg.initial_estimates, cfg.gains,
+                             cfg.plant, cfg.networks)
+    finally:
+        tracer.restore()
+    assert tracer.stats["controller.forward_pass"].count == 1
+    assert tracer.stats["controller.chain_eval"].count == 1
+    assert [dict(vars(owner)) for owner in owners] == before
+
+
 def test_bench_cascade3_is_the_bundled_preset():
     # the benchmark builds its cascade in code; the bundled preset must give
     # the same controller output bit for bit (same centers, same gains)

@@ -178,6 +178,34 @@ def test_frozen_gain_direction_never_moves(section4_config):
     assert ev.rates[1].p_hat[1] == 0.0
 
 
+def test_gamma_reassignment_takes_effect_at_the_next_rates(section4_config):
+    # whether a Gamma is diagonal is decided when it is assigned; the next
+    # adaptive_rates applies the new matrix, diagonal -> full -> diagonal.
+    # At z = 0 the step-2 p-rate applies Gamma_p to v = (sigma_p, -sigma_p):
+    # the bundled diag(0.4, 0) keeps the elementwise path, whose second
+    # entry is 0 * -sigma_p = -0.0 where a row reduction gives +0.0, so the
+    # bits tell the paths apart
+    g = section4_config.gains[1]
+    est = StepEstimates(np.zeros(2), np.array([-1.0, 1.0]), 0.0,
+                        np.ones(g.Gamma_w.shape[0]))
+    v = np.zeros(2) - g.sigma_p * est.p_hat
+
+    def p_rate():
+        return adaptive_rates(2, 0.0, 0.0, [0.0, 0.0], [0.0, 0.0],
+                              np.zeros(g.Gamma_w.shape[0]), est, g).p_hat
+
+    def bits(a):
+        return np.asarray(a, dtype=float).tobytes()
+    assert np.array_equal(g.Gamma_p, np.diag([0.4, 0.0]))
+    assert bits(p_rate()) == bits(np.diagonal(g.Gamma_p) * v)
+    assert np.signbit(p_rate()[1])
+    full = np.array([[0.4, 0.1], [0.1, 0.3]])
+    g.Gamma_p = full
+    assert bits(p_rate()) == bits((full * v[None, :]).sum(axis=-1))
+    g.Gamma_p = np.diag([0.5, 0.0])
+    assert bits(p_rate()) == bits(np.array([0.5, 0.0]) * v) and np.signbit(p_rate()[1])
+
+
 # ---------------------------------------------------------------------------
 # derivative propagation
 # ---------------------------------------------------------------------------
@@ -386,20 +414,69 @@ def test_level1_jet_tags_x1_only(section4_config, monkeypatch):
 
 
 def test_level2_scratch_chain_evaluation_count(monkeypatch):
-    # 13 chain evaluations for the state gradient and Hessian plus two for
-    # the estimate flow along the step-1 rates; the step-2 partials take none.
-    # Each stencil's points are the rows of one call: rows are counted
+    # inside forward_pass the step-3 scratch is one chain evaluation of 15
+    # rows: 13 for the state gradient and Hessian, two for the estimate flow
+    # along the step-1 rates the pass already holds; the step-2 partials take
+    # none.  A standalone call first evaluates alpha_2 at x for those rates.
     cfg = load_bundled("cascade3")
     plant, nets, gains, est = cfg.plant, cfg.networks, cfg.gains, cfg.initial_estimates
     calls = []
     real = controller._chain_alpha_value
 
     def counting(*args, **kwargs):
-        calls.append((args[0], len(args[1])))
+        calls.append((args[0], np.shape(args[1])))
         return real(*args, **kwargs)
     monkeypatch.setattr(controller, "_chain_alpha_value", counting)
-    compute_scratch(3, [0.3, -0.2, 0.1], est, gains, plant, nets, mode="dual")
-    assert calls == [(2, 13), (2, 2)]
+    x = np.array([0.3, -0.2, 0.1])
+    forward_pass(x, est, gains, plant, nets, mode="dual")
+    assert calls == [(2, (15, 2))]
+    calls.clear()
+    compute_scratch(3, x, est, gains, plant, nets, mode="dual")
+    assert calls == [(2, (2,)), (2, (15, 2))]
+    # numeric: the 5-point step-2 stencil, outside and inside the step-3 rows
+    calls.clear()
+    forward_pass(x, est, gains, plant, nets, mode="numeric")
+    assert calls == [(1, (5, 1)), (2, (15, 2)), (1, (5, 15, 1))]
+
+
+def test_pass_scratch_is_the_standalone_scratch(monkeypatch):
+    # the step-3 scratch forward_pass builds from the rates it holds equals,
+    # bit for bit, compute_scratch(3, ...) called on its own, which derives
+    # those rates itself; row 0 of the batch of 7 has x_1 = 0 and zero
+    # step-1 estimates, so its rates and its flow are zero
+    cfg = load_bundled("cascade3")
+    gains, plant, nets = cfg.gains, cfg.plant, cfg.networks
+    real = controller.compute_scratch
+    seen = []
+
+    def recording(i, *args, **kwargs):
+        sc = real(i, *args, **kwargs)
+        if i == 3:
+            seen.append(sc)
+        return sc
+    monkeypatch.setattr(controller, "compute_scratch", recording)
+    stream = derive_stream(24, 8)
+    for batch in (1, 7):
+        rows = [cascade3_estimates(stream) for _ in range(batch)]
+        adaptive = AdaptiveState([StepEstimates(*(np.stack([getattr(r.steps[k], a) for r in rows])
+                                                  for a in ESTIMATE_BLOCKS))
+                                  for k in range(3)])
+        x = stream.uniform(3 * batch, -1.0, 1.0).reshape(batch, 3)
+        if batch == 7:
+            x[0, 0] = 0.0
+            for a in ESTIMATE_BLOCKS:
+                np.asarray(getattr(adaptive.steps[0], a))[0] = 0.0
+        for mode in ("dual", "numeric"):
+            seen.clear()
+            forward_pass(x, adaptive, gains, plant, nets, mode=mode)
+            alone = real(3, x, adaptive, gains, plant, nets, mode=mode)
+            assert len(seen) == 1
+            for f in ("alpha", "grad_x", "hess_x", "est_flow", "failed"):
+                got, want = np.asarray(getattr(seen[0], f)), np.asarray(getattr(alone, f))
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), (mode, f)
+            assert not np.any(alone.failed)
+            if batch == 7:
+                assert alone.est_flow[0] == 0.0 and np.all(alone.est_flow[1:] != 0.0)
 
 
 def test_scratch_rejects_first_step():
