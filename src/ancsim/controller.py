@@ -43,11 +43,12 @@ The state derivatives come in one of two modes: "dual" propagates a degree-2
 Taylor jet in x_1 through step 1 (machine precision for the first recursion
 level, which covers second-order plants); "numeric" uses central differences
 with fixed relative steps.
-Everything here is a pure function of (x, AdaptiveState, GainConfig); the
-closed-loop driver owns the single mutable AdaptiveState per batch of runs.
+Everything here is a pure function of (x, AdaptiveState, GainConfig).  An
+AdaptiveState holds all of a batch's estimates in one (..., P) array, step by
+step and (vartheta, p, eps, W) within a step; the rates share that layout.
 
 Every array carries optional leading batch axes: a state is (n,) or (..., n),
-an estimate block (k,) or (..., k), and the code indexes with ``[..., j]`` and
+the estimates (P,) or (..., P), and the code indexes with ``[..., j]`` and
 reduces over the last axis only, so one call evaluates a batch of runs (or a
 difference stencil's points) with the same rounding as one point at a time.
 A row whose evaluation fails -- a gain below the floor, a non-finite
@@ -56,6 +57,7 @@ derivative, or a designer-known plant function overflowing -- is flagged in
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Optional
 
 import numpy as np
@@ -130,35 +132,47 @@ class StepEstimates:
     eps_hat: float                   # (...)
     W_hat: np.ndarray                # (..., l_i)
 
-    def copy(self) -> "StepEstimates":
-        return StepEstimates(self.vartheta_hat.copy(), self.p_hat.copy(),
-                             np.array(self.eps_hat, dtype=float), self.W_hat.copy())
 
-
-@dataclass
 class AdaptiveState:
-    """All online estimates, one block of (vartheta, p, eps, W) per step."""
+    """All online estimates of a batch as one (..., P) array ``values``.
 
-    steps: List[StepEstimates]
+    The layout is step-major, so steps 1..k are the prefix ``[..., :ends[k]]``,
+    and runs (vartheta, p, eps, W) within a step; ``layout[i]`` holds step
+    i+1's slices, eps as an index, built once from the block sizes.
+    ``steps`` is a tuple of StepEstimates whose fields are views into
+    ``values`` (eps_hat 0-d for one run), so writing into a field writes the
+    array.  The adaptive rates use the same layout.
+    """
+
+    def __init__(self, steps: List[StepEstimates]):
+        """Pack per-step blocks, with any common batch shape, into one array."""
+        blocks = [np.asarray(b, dtype=float) for s in steps for b in
+                  (s.vartheta_hat, s.p_hat, np.asarray(s.eps_hat)[..., None], s.W_hat)]
+        lead = np.broadcast_shapes(*(b.shape[:-1] for b in blocks))
+        e = np.cumsum([0] + [b.shape[-1] for b in blocks]).tolist()     # block edges
+        layout = tuple((slice(e[k], e[k + 1]), slice(e[k + 1], e[k + 2]), e[k + 2],
+                        slice(e[k + 3], e[k + 4])) for k in range(0, len(blocks), 4))
+        values = np.concatenate([np.broadcast_to(b, lead + b.shape[-1:]) for b in blocks], -1)
+        self._bind(values, layout, tuple(e[::4]))
+
+    def _bind(self, values: np.ndarray, layout, ends):
+        self.values, self.layout, self.ends = values, layout, ends
+        self.steps = tuple([StepEstimates(values[..., vt], values[..., p], values[..., e],
+                                          values[..., w]) for vt, p, e, w in layout])
+        return self
+
+    def with_values(self, values: np.ndarray) -> "AdaptiveState":
+        """``values`` (..., P), not copied, as a state in this layout."""
+        return object.__new__(AdaptiveState)._bind(values, self.layout, self.ends)
+
+    def __setstate__(self, state):      # a copy or an unpickled state rebinds its views
+        self._bind(state["values"], state["layout"], state["ends"])
 
     def copy(self) -> "AdaptiveState":
-        return AdaptiveState([s.copy() for s in self.steps])
+        return self.with_values(self.values.copy())
 
-    def euler(self, rates: List[StepEstimates], dt: float) -> "AdaptiveState":
-        return AdaptiveState([_along(est, rate, dt)
-                              for est, rate in zip(self.steps, rates)])
-
-
-def _along(est: StepEstimates, rate: StepEstimates, s) -> StepEstimates:
-    """The estimates moved by s along the rates: est + s * rate, block by
-    block; s is a number or one per batch row."""
-    sv = np.asarray(s)[..., None]
-    return StepEstimates(
-        est.vartheta_hat + sv * rate.vartheta_hat,
-        est.p_hat + sv * rate.p_hat,
-        est.eps_hat + s * rate.eps_hat,
-        est.W_hat + sv * rate.W_hat,
-    )
+    def euler(self, rates: "AdaptiveState", dt: float) -> "AdaptiveState":
+        return self.with_values(self.values + dt * rates.values)
 
 
 @dataclass
@@ -192,7 +206,7 @@ class ControlEval:
     z: np.ndarray                    # (..., n)
     alphas: np.ndarray               # (..., n-1): alpha_1..alpha_{n-1}
     u: float                         # (...)
-    rates: List[StepEstimates]
+    rates: AdaptiveState             # every step's rates, in the estimates' layout
     failed: np.ndarray               # (...) bool: no control for this row
 
 
@@ -253,29 +267,33 @@ def _dot_seq(coeffs, terms):
     return acc
 
 
-def _gain(gains_i: StepGains, name: str, v: np.ndarray) -> np.ndarray:
-    """Gamma_<name> v over the last axis of v.  A diagonal Gamma is applied
-    elementwise (the bits of the matrix product, at O(l) per row); a full
-    one by a row reduction in a fixed order."""
+def _gain(gains_i: StepGains, name: str, v: np.ndarray, out=None) -> np.ndarray:
+    """Gamma_<name> v over the last axis of v, into ``out`` if given.  A
+    diagonal Gamma is applied elementwise (the bits of the matrix product, at
+    O(l) per row); a full one by a row reduction in a fixed order."""
     d = getattr(gains_i, "_diag_" + name)
     if d is not None:
-        return d * v
-    return (getattr(gains_i, "Gamma_" + name) * v[..., None, :]).sum(axis=-1)
+        return np.multiply(d, v, out=out)
+    return np.sum(getattr(gains_i, "Gamma_" + name) * v[..., None, :], axis=-1, out=out)
 
 
 def adaptive_rates(i: int, z_i: float, w0, w1, w2, S_i: np.ndarray,
-                   est: StepEstimates, gains_i: StepGains) -> StepEstimates:
-    """Leaky update rates: rate = Gamma (z^3 s - sigma * estimate)."""
+                   est: StepEstimates, gains_i: StepGains,
+                   out: Optional[StepEstimates] = None) -> StepEstimates:
+    """Leaky update rates: rate = Gamma (z^3 s - sigma * estimate), written
+    into the views of ``out`` (a step of a rate state) if given."""
     z3 = np.asarray(z_i * z_i * z_i)
     shape = z3.shape
     z3v = z3[..., None]
+    o = out if out is not None else StepEstimates(None, None, None, None)
     return StepEstimates(
         vartheta_hat=_gain(gains_i, "vartheta", z3v * stack_entries(w2, shape)
-                           - gains_i.sigma_vartheta * est.vartheta_hat),
+                           - gains_i.sigma_vartheta * est.vartheta_hat, o.vartheta_hat),
         p_hat=_gain(gains_i, "p", z3v * stack_entries(w1, shape)
-                    - gains_i.sigma_p * est.p_hat),
-        eps_hat=gains_i.gamma_eps * (z3 * w0 - gains_i.sigma_eps * est.eps_hat),
-        W_hat=_gain(gains_i, "w", z3v * S_i - gains_i.sigma_w * est.W_hat),
+                    - gains_i.sigma_p * est.p_hat, o.p_hat),
+        eps_hat=np.multiply(gains_i.gamma_eps, z3 * w0 - gains_i.sigma_eps * est.eps_hat,
+                            out=o.eps_hat),
+        W_hat=_gain(gains_i, "w", z3v * S_i - gains_i.sigma_w * est.W_hat, o.W_hat),
     )
 
 
@@ -332,7 +350,7 @@ def _step_quantities(i, xs, est, gains_i: StepGains, plant, net: RbfNetwork,
             terms = terms + grad[j] * plant.g[j](xs[: j + 1]) * xs[j + 1]
         if i >= 3:
             terms = terms + scratch.est_flow
-        r = rates_prev[i - 2]
+        r = rates_prev.steps[i - 2]
         terms = terms + ((scratch.d_vartheta[0] * r.vartheta_hat).sum(axis=-1)
                          + (scratch.d_p[0] * r.p_hat).sum(axis=-1)
                          + scratch.d_eps[0] * r.eps_hat
@@ -364,26 +382,26 @@ def _steps_through(level, x, adaptive: AdaptiveState, gains: GainConfig, plant,
                    nets, mode: str, final_step: bool = False):
     """Steps 1..level at a float point (or a batch of points).
 
-    Returns every step's quantities and the rates of steps 1..level-1.  In
+    Returns every step's quantities and the rates, steps 1..level-1 filled.  In
     dual mode with level >= 2 one jet pass evaluates step 1 and gives step
     2's scratch; otherwise step i's scratch comes from :func:`compute_scratch`.
     ``final_step`` applies to step ``level``.  A step's ``failed`` includes
     the failures of the steps and scratches before it.
     """
     xs = [x[..., j] for j in range(x.shape[-1])]
-    qs, rates = [], []
-    scratch = None
+    rates = adaptive.with_values(np.zeros(np.broadcast(x[..., :1], adaptive.values).shape))
+    qs, scratch = [], None
     for i in range(1, level + 1):
         if i >= 2:
             q = qs[-1]
-            rates.append(adaptive_rates(i - 1, q["z"], q["w0"], q["w1"], q["w2"],
-                                        q["S"], adaptive.steps[i - 2], gains[i - 2]))
+            adaptive_rates(i - 1, q["z"], q["w0"], q["w1"], q["w2"], q["S"],
+                           adaptive.steps[i - 2], gains[i - 2], out=rates.steps[i - 2])
         if i == 1 and level >= 2 and mode == "dual":
             scratch, q = _scratch_first_level_jets(x, adaptive, gains, plant, nets)
         else:
             if i >= 2 and scratch is None:
                 scratch = compute_scratch(i, x, adaptive, gains, plant, nets, mode=mode,
-                                          rates=rates[: i - 2])
+                                          rates=rates)
             q = _step_quantities(i, xs, adaptive.steps[i - 1], gains[i - 1], plant,
                                  nets[i - 1], scratch, rates,
                                  final_step=final_step and i == level)
@@ -395,8 +413,8 @@ def _steps_through(level, x, adaptive: AdaptiveState, gains: GainConfig, plant,
 def _chain_alpha_value(level, x, adaptive: AdaptiveState, gains: GainConfig,
                        plant, nets, inner_mode: str):
     """Step ``level``'s quantities at a batch of float points x (..., level),
-    and the rates of steps 1..level-1 (step ``level``'s own rates are not
-    computed).  Difference stencils evaluate all their points in one call,
+    and the rate state of steps 1..level-1 (step ``level``'s own rates are
+    not computed).  Difference stencils evaluate all their points in one call,
     on a leading axis of x and of the estimates that differ per point."""
     qs, rates = _steps_through(level, x, adaptive, gains, plant, nets, inner_mode)
     return qs[-1], rates
@@ -439,15 +457,19 @@ def _quantity_values(v):
     return v
 
 
+@lru_cache(maxsize=None)
 def _stencil(level: int):
-    """The central-difference points as moves (coordinate, sign, step kind):
-    the base point, +-h1 along each coordinate (gradient), +-h2 along each
-    (Hessian diagonal), and (+-h2, +-h2) along each pair j < k."""
-    first = [((j, s, 1),) for j in range(level) for s in (1.0, -1.0)]
-    second = [((j, s, 2),) for j in range(level) for s in (1.0, -1.0)]
-    cross = [((j, sj, 2), (k, sk, 2)) for j in range(level) for k in range(j + 1, level)
+    """A scratch's points as (signs, M, J, K), built once per level: a sign
+    per point and coordinate (0.0: stays at x0).  The M stencil rows are the
+    base point, +-h1 along each coordinate, +-h2 along each, and (+-h2, +-h2)
+    along each pair (J, K); from level 2 on two base rows follow."""
+    J, K = np.triu_indices(level, 1)
+    axis = [{j: s} for j in range(level) for s in (1.0, -1.0)]
+    cross = [{j: sj, k: sk} for j, k in zip(J.tolist(), K.tolist())
              for sj, sk in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))]
-    return [()] + first + second + cross
+    moves = [{}] + axis + axis + cross + [{}, {}] * (level > 1)
+    signs = np.array([[mv.get(j, 0.0) for j in range(level)] for mv in moves])
+    return signs, 1 + 4 * level + len(cross), J, K
 
 
 def _scratch_numeric(level, x, adaptive: AdaptiveState, gains: GainConfig,
@@ -455,50 +477,40 @@ def _scratch_numeric(level, x, adaptive: AdaptiveState, gains: GainConfig,
     """Central differences of alpha_level over the rows of one evaluation:
     the M stencil points at the held estimates, then two rows at x0 for the
     flow along the adaptive laws of steps 1..level-1 (none at level 1).  In
-    those, the earlier steps' estimates move to est +- h * rate, with
-    h = FD_STEP_FIRST * max(1, |est|) / |rate| (norms over the concatenated
-    blocks); a zero rate gives exactly 0.0."""
+    those, the earlier steps' estimates, a prefix of the layout, move to
+    est +- h * rate, with h = FD_STEP_FIRST * max(1, |est|) / |rate| (norms
+    over steps 1..level-1); a zero rate gives exactly 0.0.  A moved
+    coordinate is x0 + (+-h); an unmoved one is x0 itself."""
     x0 = x[..., :level]
-    steps = {1: FD_STEP_FIRST * np.maximum(1.0, np.abs(x0)),
-             2: FD_STEP_SECOND * np.maximum(1.0, np.abs(x0))}
-    moves = _stencil(level)
-    m = len(moves)
-    earlier = adaptive.steps[: level - 1]
-    pts = np.empty((m + 2 * bool(earlier),) + x0.shape)
-    pts[:] = x0
-    for p, move in enumerate(moves):
-        for j, sign, kind in move:
-            pts[p, ..., j] += sign * steps[kind][..., j]
-    if earlier:
+    h1 = FD_STEP_FIRST * np.maximum(1.0, np.abs(x0))
+    h2 = FD_STEP_SECOND * np.maximum(1.0, np.abs(x0))
+    signs, m, J, K = _stencil(level)
+    signs = signs.reshape(signs.shape[:1] + (1,) * (x0.ndim - 1) + signs.shape[1:])
+    first = np.arange(len(signs)).reshape(signs.shape[:-1] + (1,)) <= 2 * level
+    pts = np.where(signs != 0.0, x0 + signs * np.where(first, h1, h2), x0)
+    if level > 1:
         if rates is None:    # a standalone call: the rates as a pass gets them
             rates = _chain_alpha_value(level, x0, adaptive, gains, plant, nets, inner_mode)[1]
-        rate_norm = _norm(rates)
+        rate_norm, est_norm = _norm(rates, level - 1), _norm(adaptive, level - 1)
         still = rate_norm == 0.0
-        h = FD_STEP_FIRST * np.maximum(1.0, _norm(earlier)) / np.where(still, 1.0, rate_norm)
-        ends = np.stack(np.broadcast_arrays(h, -h))
-        adaptive = AdaptiveState([_held_then(e, _along(e, r, ends), m)
-                                  for e, r in zip(earlier, rates)]
-                                 + adaptive.steps[level - 1:])
+        h = FD_STEP_FIRST * np.maximum(1.0, est_norm) / np.where(still, 1.0, rate_norm)
+        end, held, r = adaptive.ends[level - 1], adaptive.values, rates.values
+        est = np.array(np.broadcast_to(held, (m + 2,) + r.shape))
+        est[m:, ..., :end] = held[..., :end] + np.stack((h, -h))[..., None] * r[..., :end]
+        adaptive = adaptive.with_values(est)
     q, _ = _chain_alpha_value(level, pts, adaptive, gains, plant, nets, inner_mode)
     a = np.broadcast_to(q["alpha"], pts.shape[:-1])
-    alpha0 = a[0]
-    h1, h2 = steps[1], steps[2]
-    grad_x = np.empty(x0.shape)
+    alpha0, n2 = a[0], 2 * level
+    grad_x = np.moveaxis(a[1:n2 + 1:2] - a[2:n2 + 2:2], 0, -1) / (2.0 * h1)
     hess = np.empty(x0.shape + (level,))
-    for j in range(level):
-        grad_x[..., j] = (a[1 + 2 * j] - a[2 + 2 * j]) / (2.0 * h1[..., j])
-    p = 1 + 2 * level
-    for j in range(level):
-        hess[..., j, j] = (a[p] - 2.0 * alpha0 + a[p + 1]) / (h2[..., j] * h2[..., j])
-        p += 2
-    for j in range(level):
-        for k in range(j + 1, level):
-            c = a[p:p + 4]
-            hess[..., j, k] = hess[..., k, j] = \
-                (c[0] - c[1] - c[2] + c[3]) / (4.0 * h2[..., j] * h2[..., k])
-            p += 4
+    diag = np.arange(level)
+    hess[..., diag, diag] = np.moveaxis(a[n2 + 1:2 * n2 + 1:2] - 2.0 * alpha0
+                                        + a[n2 + 2:2 * n2 + 2:2], 0, -1) / (h2 * h2)
+    c = a[2 * n2 + 1:m].reshape((len(J), 4) + a.shape[1:])
+    hess[..., J, K] = hess[..., K, J] = (np.moveaxis(c[:, 0] - c[:, 1] - c[:, 2] + c[:, 3], 0, -1)
+                                         / (4.0 * h2[..., J] * h2[..., K]))
 
-    flow = np.where(still, 0.0, (a[m] - a[m + 1]) / (2.0 * h)) if earlier else 0.0
+    flow = np.where(still, 0.0, (a[m] - a[m + 1]) / (2.0 * h)) if level > 1 else 0.0
     finite = (np.isfinite(alpha0) & np.all(np.isfinite(grad_x), axis=-1)
               & np.all(np.isfinite(hess), axis=(-2, -1)) & np.isfinite(flow))
     failed = np.any(np.broadcast_to(q["failed"], a.shape), axis=0) | ~finite
@@ -506,16 +518,11 @@ def _scratch_numeric(level, x, adaptive: AdaptiveState, gains: GainConfig,
     return StepScratch(alpha0, grad_x, hess, d_vt, d_p, d_eps, d_W, flow, failed)
 
 
-def _held_then(held: StepEstimates, moved: StepEstimates, m: int) -> StepEstimates:
-    """Per-row estimates: ``held`` on m leading rows, then the rows of ``moved``."""
-    return StepEstimates(*(np.concatenate([np.broadcast_to(h, (m,) + mv.shape[1:]), mv])
-                           for h, mv in zip(vars(held).values(), vars(moved).values())))
-
-
-def _norm(blocks) -> np.ndarray:
-    """Euclidean norm of estimate (or rate) blocks taken as one vector."""
+def _norm(state: AdaptiveState, k: int) -> np.ndarray:
+    """Euclidean norm of steps 1..k's estimates (or rates) as one vector,
+    summed kind by kind, step after step: one flat sum rounds differently."""
     sq = 0.0
-    for b in blocks:
+    for b in state.steps[:k]:
         sq = sq + ((b.vartheta_hat * b.vartheta_hat).sum(axis=-1)
                    + (b.p_hat * b.p_hat).sum(axis=-1) + b.eps_hat * b.eps_hat
                    + (b.W_hat * b.W_hat).sum(axis=-1))
@@ -533,8 +540,8 @@ def compute_scratch(i: int, x, adaptive: AdaptiveState, gains: GainConfig,
     levels the state derivatives and the estimate flow of the earlier steps
     are central differences over the rows of one evaluation whose inner
     scratches are exact (:func:`_scratch_numeric`).  mode "numeric" uses
-    central differences for all of those.  ``rates`` are steps 1..i-2's
-    rates at x, as the calling pass holds them; without them, i >= 3 first
+    central differences for all of those.  ``rates`` is the rate state at x
+    the calling pass holds (steps 1..i-2 are read); without it, i >= 3 first
     evaluates alpha_{i-1} at x for them.
     """
     if i < 2:
@@ -575,8 +582,8 @@ def forward_pass(x, adaptive: AdaptiveState, gains: GainConfig, plant, nets,
     shape = x.shape[:-1]
     qs, rates = _steps_through(n, x, adaptive, gains, plant, nets, mode, final_step=True)
     last = qs[-1]
-    rates.append(adaptive_rates(n, last["z"], last["w0"], last["w1"], last["w2"],
-                                last["S"], adaptive.steps[n - 1], gains[n - 1]))
+    adaptive_rates(n, last["z"], last["w0"], last["w1"], last["w2"], last["S"],
+                   adaptive.steps[n - 1], gains[n - 1], out=rates.steps[n - 1])
     z = stack_entries([q["z"] for q in qs], shape)
     alphas = stack_entries([q["alpha"] for q in qs[:-1]], shape)
     failed = np.zeros(shape, dtype=bool)

@@ -20,7 +20,7 @@ from typing import List, Optional
 import numpy as np
 
 from .config import MAX_SWEEP_BYTES, TAIL_FRACTION, ConfigError, ExperimentConfig
-from .controller import AdaptiveState, StepEstimates, forward_pass
+from .controller import AdaptiveState, forward_pass
 from .monitor import (bounded_in_probability_stat, convergence_stat,
                       empirical_drift, lambda_K, reference_truth_norms,
                       state_energy)
@@ -114,10 +114,11 @@ def run_closed_loop(config: ExperimentConfig, run_index):
     any state or estimate magnitude exceeds the divergence limit or is not
     finite, the control is not finite, the controller fails there (singular
     gain, non-finite derivative, an overflowing designer-known function), or
-    the plant overflows; see :class:`~ancsim.sde.TrajectoryRecord`.  A halted
-    row is frozen while the others carry on.  Raises ConfigError, before
-    allocating anything, when the batch's increments and sample tables would
-    take more than ``MAX_SWEEP_BYTES``.
+    the plant overflows; see :class:`~ancsim.sde.TrajectoryRecord`.  Only a
+    halted row's state is frozen while the others carry on: its estimates
+    still take the batch's Euler steps, and none of its later samples is
+    kept.  Raises ConfigError, before allocating anything, when the batch's
+    increments and sample tables would take more than ``MAX_SWEEP_BYTES``.
     """
     plant = config.plant
     n = plant.n
@@ -138,9 +139,7 @@ def run_closed_loop(config: ExperimentConfig, run_index):
     def rows(v):                          # v repeated for every run of the batch
         return np.array(np.broadcast_to(v, lead + np.shape(v)))
     x = rows(config.x0)
-    adaptive = AdaptiveState([StepEstimates(rows(s.vartheta_hat), rows(s.p_hat),
-                                            rows(s.eps_hat), rows(s.W_hat))
-                              for s in config.initial_estimates.steps])
+    adaptive = config.initial_estimates.with_values(rows(config.initial_estimates.values))
 
     cols, est_cols = columns(n), _estimate_columns(n)
     table = np.empty(lead + (steps + 1, len(cols)))
@@ -198,12 +197,13 @@ def _fill_diag(row, ev, adaptive: AdaptiveState, n: int):
     (or a batch's rows)."""
     row[..., n + 2:2 * n + 2] = ev.z
     row[..., 2 * n + 2:3 * n + 1] = ev.alphas
-    est = row[..., 3 * n + 1:-1]
-    for i, s in enumerate(adaptive.steps):
-        est[..., i] = np.sqrt((s.W_hat * s.W_hat).sum(axis=-1))
-        est[..., n + i] = s.eps_hat
-        est[..., 2 * n + i] = np.sqrt((s.p_hat * s.p_hat).sum(axis=-1))
-        est[..., 3 * n + i] = np.sqrt((s.vartheta_hat * s.vartheta_hat).sum(axis=-1))
+    v = adaptive.values
+    vartheta, p, eps, W = zip(*adaptive.layout)     # each kind's slices, step by step
+    est = row[..., 3 * n + 1:-1]                    # W, eps, p, vartheta columns, by step
+    est[..., n:2 * n] = v[..., list(eps)]
+    sq = v * v
+    for c, s in zip([*range(n), *range(2 * n, 4 * n)], W + p + vartheta):
+        est[..., c] = np.sqrt(sq[..., s].sum(axis=-1))
     row[..., -1] = state_energy(ev.z)
 
 

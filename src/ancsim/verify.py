@@ -159,10 +159,7 @@ def plant_structural_check() -> CheckResult:
 
 def controller_structural_check() -> CheckResult:
     cfg = load_bundled("section4")
-    zero = AdaptiveState([
-        StepEstimates(np.zeros(2), np.zeros(1), 0.0, np.zeros(27)),
-        StepEstimates(np.zeros(2), np.zeros(2), 0.0, np.zeros(64)),
-    ])
+    zero = cfg.initial_estimates.with_values(np.zeros_like(cfg.initial_estimates.values))
     ev = forward_pass(np.zeros(2), zero, cfg.gains, cfg.plant, cfg.networks)
     structural = abs(ev.u) < 1e-15 and np.max(np.abs(ev.alphas)) < 1e-15
     stream = derive_stream(_SEED, 12)
@@ -171,8 +168,7 @@ def controller_structural_check() -> CheckResult:
     decay_ok = True
     ev0 = forward_pass(np.zeros(2), cfg.initial_estimates, cfg.gains,
                        cfg.plant, cfg.networks)
-    for i, (est, g) in enumerate(zip(cfg.initial_estimates.steps, cfg.gains.steps)):
-        r = ev0.rates[i]
+    for est, g, r in zip(cfg.initial_estimates.steps, cfg.gains.steps, ev0.rates.steps):
         decay_ok = decay_ok and np.allclose(
             r.vartheta_hat, -g.Gamma_vartheta @ (g.sigma_vartheta * est.vartheta_hat))
         decay_ok = decay_ok and np.isclose(
@@ -204,7 +200,7 @@ def derivative_agreement_check(states: int = 100, rtol_first: float = 1e-4,
                 StepEstimates(stream.uniform(2, -1.0, 1.0), stream.uniform(1, 0.0, 1.0),
                               float(stream.uniform(1, -0.5, 0.5)[0]),
                               stream.uniform(27, -1.0, 1.0)),
-                cfg.initial_estimates.steps[1].copy(),
+                cfg.initial_estimates.steps[1],
             ])
             dual, num = (compute_scratch(2, x, adaptive, cfg.gains, cfg.plant,
                                          cfg.networks, mode=mode)
@@ -228,9 +224,8 @@ def derivative_agreement_check(states: int = 100, rtol_first: float = 1e-4,
 
         def alpha_2(a):
             return forward_pass(x, a, cfg.gains, cfg.plant, cfg.networks).alphas[1]
-        r1 = ev.rates[0]
-        flow = float(_fd_estimate_partials(alpha_2, adaptive, 0) @ np.hstack(
-            (r1.vartheta_hat, r1.p_hat, r1.eps_hat, r1.W_hat)))
+        r1 = ev.rates.values[:ev.rates.ends[1]]      # the step-1 rates
+        flow = float(_fd_estimate_partials(alpha_2, adaptive, 0) @ r1)
         own = _fd_estimate_partials(alpha_2, adaptive, 1)
         for mode in ("dual", "numeric"):
             sc = compute_scratch(3, x, adaptive, cfg.gains, cfg.plant, cfg.networks, mode=mode)
@@ -249,23 +244,16 @@ def _own_block(sc) -> np.ndarray:
 
 def _fd_estimate_partials(alpha_of, adaptive: AdaptiveState, j: int) -> np.ndarray:
     """Central differences of ``alpha_of(estimates)`` in each entry of step
-    j+1's estimates, (vartheta, p, eps, W) concatenated: two evaluations per
+    j+1's slice of the flat layout, (vartheta, p, eps, W): two evaluations per
     entry, the reference for the controller's closed forms and its flow."""
-    est = adaptive.steps[j]
+    def moved(k, delta):
+        state = adaptive.copy()
+        state.values[..., k] += delta
+        return alpha_of(state)
     parts = []
-    for attr in ("vartheta_hat", "p_hat", "eps_hat", "W_hat"):
-        for k in range(np.size(getattr(est, attr))):
-            value = float(np.atleast_1d(getattr(est, attr))[k])
-            h = FD_STEP_FIRST * max(1.0, abs(value))
-            ends = []
-            for delta in (h, -h):
-                moved = adaptive.copy()
-                if attr == "eps_hat":
-                    moved.steps[j].eps_hat += delta
-                else:
-                    getattr(moved.steps[j], attr)[k] += delta
-                ends.append(alpha_of(moved))
-            parts.append((ends[0] - ends[1]) / (2.0 * h))
+    for k in range(adaptive.ends[j], adaptive.ends[j + 1]):
+        h = FD_STEP_FIRST * max(1.0, abs(float(adaptive.values[..., k])))
+        parts.append((moved(k, h) - moved(k, -h)) / (2.0 * h))
     return np.array(parts)
 
 

@@ -120,8 +120,9 @@ def test_run_csv_bytes_do_not_depend_on_the_batch(make, tmp_path):
 def test_cascade3_stencil_rows_are_the_per_point_values(monkeypatch):
     # inside forward_pass the step-3 scratch is one call of 15 rows: the 13
     # state-stencil points at the held estimates, then x0 twice with the
-    # step-1 estimates moved along their rates (steps 2 and 3 held); every
-    # row, with its own estimates, equals that point evaluated on its own
+    # step-1 estimates moved along their rates (steps 2 and 3 held, bit for
+    # bit, on every row); every row, with its own estimates, equals that
+    # point evaluated on its own
     cfg = load_bundled("cascade3")
     adaptive = cfg.initial_estimates.copy()
     for est in adaptive.steps:
@@ -146,15 +147,10 @@ def test_cascade3_stencil_rows_are_the_per_point_values(monkeypatch):
         assert np.array_equal(rows[:13], np.broadcast_to(getattr(held, attr), rows[:13].shape))
     assert not np.array_equal(moved.W_hat[13], held.W_hat)
     assert not np.array_equal(moved.W_hat[14], held.W_hat)
-    assert all(a is b for a, b in zip(est.steps[1:], adaptive.steps[1:]))
+    later = slice(adaptive.ends[1], None)
     for r in range(len(pts)):
-        row = controller.AdaptiveState([
-            controller.StepEstimates(*(np.asarray(v)[r] if np.ndim(v) > base else v
-                                       for v, base in zip(
-                                           (s.vartheta_hat, s.p_hat, s.eps_hat, s.W_hat),
-                                           (1, 1, 0, 1))))
-            for s in est.steps])
-        alone, _ = real(level, pts[r], row, *args)
+        assert np.array_equal(_bits(est.values[r, later]), _bits(adaptive.values[later]))
+        alone, _ = real(level, pts[r], est.with_values(est.values[r]), *args)
         assert _bits(alone["alpha"]) == _bits(alphas[r])
 
 
@@ -191,9 +187,10 @@ def test_guard_halts_one_row_and_the_others_carry_on(monkeypatch):
 
 
 def test_full_gain_matrix_is_a_fixed_order_row_reduction():
-    # a non-diagonal Gamma: the rates are Gamma v up to rounding, and a
-    # batch row rounds as the lone vector does
-    from ancsim.controller import StepEstimates, adaptive_rates
+    # a non-diagonal Gamma: the rates are Gamma v up to rounding, a batch
+    # row rounds as the lone vector does, and so does a rate written into
+    # its strided slice of a rate state
+    from ancsim.controller import AdaptiveState, StepEstimates, adaptive_rates
     cfg = load_bundled("section4")
     gains = cfg.gains[0]
     l = gains.Gamma_w.shape[0]
@@ -205,6 +202,9 @@ def test_full_gain_matrix_is_a_fixed_order_row_reduction():
     est = StepEstimates(np.zeros((5, 2)), np.zeros((5, 1)), np.zeros(5),
                         stream.uniform(5 * l, -1.0, 1.0).reshape(5, l))
     batch = adaptive_rates(1, z, np.zeros(5), [0.0], [0.0, 0.0], S, est, gains).W_hat
+    rates = AdaptiveState([est, est])
+    adaptive_rates(1, z, np.zeros(5), [0.0], [0.0, 0.0], S, est, gains, out=rates.steps[1])
+    assert np.array_equal(_bits(rates.steps[1].W_hat), _bits(batch))
     for b in range(5):
         row = StepEstimates(est.vartheta_hat[b], est.p_hat[b], est.eps_hat[b], est.W_hat[b])
         alone = adaptive_rates(1, z[b], 0.0, [0.0], [0.0, 0.0], S[b], row, gains).W_hat

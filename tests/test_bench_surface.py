@@ -93,7 +93,7 @@ def test_bench_cascade3_is_the_bundled_preset():
         theirs = forward_pass(x, est, gains, plant, nets)
         assert ours.u == theirs.u
         assert np.array_equal(ours.z, theirs.z) and np.array_equal(ours.alphas, theirs.alphas)
-        for a, b in zip(ours.rates, theirs.rates):
+        for a, b in zip(ours.rates.steps, theirs.rates.steps):
             assert all(np.array_equal(getattr(a, f), getattr(b, f))
                        for f in ("vartheta_hat", "p_hat", "eps_hat", "W_hat"))
 

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -144,6 +146,25 @@ def test_alpha1_independent_of_second_state(section4_config, zero_estimates):
 # adaptive update laws
 # ---------------------------------------------------------------------------
 
+def test_estimates_are_views_into_one_flat_array():
+    # step-major, (vartheta, p, eps, W) within a step; every field writes
+    # the one array, and copies and pickles keep their views bound
+    a = AdaptiveState([StepEstimates(np.array([1.0]), np.array([2.0]), 3.0, np.array([4.0, 5.0])),
+                       StepEstimates(np.array([6.0]), np.array([7.0, 8.0]), 9.0, np.array([10.0]))])
+    assert a.values.tolist() == [float(v) for v in range(1, 11)] and a.ends == (0, 5, 10)
+    a.steps[1].eps_hat += 0.5
+    a.steps[0].W_hat[1] = -5.0
+    assert a.values[8] == 9.5 and a.values[4] == -5.0 and a.steps[1].eps_hat.shape == ()
+    with pytest.raises(TypeError):
+        a.steps[0] = a.steps[1]
+    for b in (a.copy(), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        b.steps[1].p_hat[0] = 0.0
+        assert b.values[6] == 0.0 and a.values[6] == 7.0
+    rows = a.with_values(np.stack([a.values, -a.values]))
+    assert rows.steps[1].eps_hat.tolist() == [9.5, -9.5]
+    assert np.array_equal(rows.euler(rows, 0.5).values, 1.5 * rows.values)
+
+
 def test_rates_vanish_at_zero_error_and_zero_estimates():
     est = StepEstimates(np.zeros(2), np.zeros(1), 0.0, np.zeros(4))
     r = adaptive_rates(1, 0.0, 0.0, [0.0], [0.0, 0.0], np.zeros(4), est,
@@ -175,7 +196,7 @@ def test_frozen_gain_direction_never_moves(section4_config):
     adaptive = random_estimates(stream)
     ev = forward_pass(stream.uniform(2, -1, 1), adaptive, cfg.gains,
                       cfg.plant, cfg.networks)
-    assert ev.rates[1].p_hat[1] == 0.0
+    assert ev.rates.steps[1].p_hat[1] == 0.0
 
 
 def test_gamma_reassignment_takes_effect_at_the_next_rates(section4_config):
@@ -338,7 +359,7 @@ def test_estimate_flow_matches_per_entry_partials_times_rates():
         ev = forward_pass(x, adaptive, gains, plant, nets)
         fd = fd_estimate_partials(
             lambda a: forward_pass(x, a, gains, plant, nets).alphas[1], adaptive, 0)
-        r1 = ev.rates[0]
+        r1 = ev.rates.steps[0]
         ref = sum(float(np.dot(part, np.atleast_1d(getattr(r1, attr))))
                   for attr, part in zip(ESTIMATE_BLOCKS, fd))
         for mode in ("dual", "numeric"):
@@ -369,7 +390,8 @@ def test_estimate_flow_vanishes_with_the_step1_rates():
     # step-1 rate is zero and so is the flow, exactly
     cfg = load_bundled("cascade3")
     adaptive = cascade3_estimates(derive_stream(24, 7))
-    adaptive.steps[0] = cfg.initial_estimates.steps[0].copy()
+    for view in vars(adaptive.steps[0]).values():
+        view[...] = 0.0
     x = np.array([0.0, -0.4, 0.2])
     for mode in ("dual", "numeric"):
         sc = compute_scratch(3, x, adaptive, cfg.gains, cfg.plant, cfg.networks, mode=mode)
@@ -437,6 +459,40 @@ def test_level2_scratch_chain_evaluation_count(monkeypatch):
     calls.clear()
     forward_pass(x, est, gains, plant, nets, mode="numeric")
     assert calls == [(1, (5, 1)), (2, (15, 2)), (1, (5, 15, 1))]
+
+
+def test_stencil_points_move_one_or_two_coordinates(monkeypatch):
+    # the step-3 scratch's 15 rows, in order: x0, +-h1 along x_1 and x_2,
+    # +-h2 along each, the four (+-h2, +-h2) corners, then x0 twice for the
+    # flow; a moved coordinate is x0 + (+-h), an unmoved one x0 itself, so
+    # x_1 = -0.0 keeps its sign on every row that does not move it
+    cfg = load_bundled("cascade3")
+    real = controller._chain_alpha_value
+    seen = []
+
+    def recording(level, pts, *args):
+        seen.append(np.array(pts))
+        return real(level, pts, *args)
+    monkeypatch.setattr(controller, "_chain_alpha_value", recording)
+    x = np.array([-0.0, 0.25, -0.4])
+    compute_scratch(3, x, cfg.initial_estimates, cfg.gains, cfg.plant, cfg.networks,
+                    mode="numeric")
+    x0 = x[:2]
+    h1, h2 = 1e-5 * np.maximum(1.0, np.abs(x0)), 1e-3 * np.maximum(1.0, np.abs(x0))
+    want = [x0]
+    for h in (h1, h2):
+        for j in range(2):
+            for s in (1.0, -1.0):
+                p = x0.copy()
+                p[j] = x0[j] + s * h[j]
+                want.append(p)
+    for s0 in (1.0, -1.0):
+        for s1 in (1.0, -1.0):
+            want.append(np.array([x0[0] + s0 * h2[0], x0[1] + s1 * h2[1]]))
+    want += [x0, x0]
+    (pts,) = [p for p in seen if p.shape == (15, 2)]
+    assert np.array_equal(pts.view(np.uint64), np.array(want).view(np.uint64))
+    assert np.signbit(pts[[0, 3, 4, 7, 8, 13, 14], 0]).all()
 
 
 def test_pass_scratch_is_the_standalone_scratch(monkeypatch):

@@ -1,0 +1,38 @@
+"""Golden digests: short sweeps of every bundled preset in both scratch modes.
+
+Each row is one ``monte_carlo`` call, and the CSV and report digests must
+match the recorded ones byte for byte, halts included.  Golden values depend
+on the numpy version (its ufunc kernels), so a mismatch on another numpy is
+not by itself a fault of the code.
+"""
+
+import numpy as np
+import pytest
+
+from ancsim.config import load_bundled
+from ancsim.harness import monte_carlo
+
+RECORDED_ON_NUMPY = "2.4.6"
+
+# (preset, scratch_mode, horizon, runs) -> csv_digest[:12], digest[:12], halted run lengths
+ROWS = [
+    (("section4", "dual", 2, 4), "f87b47406376", "f2d39ef2e6a8", {}),
+    (("section4", "numeric", 1, 2), "aac61b8da82a", "f9a80793ec47", {}),
+    (("remark1", "dual", 5, 8), "66b4ea03a031", "399c571b2974", {1: 4355, 3: 3887, 7: 1082}),
+    (("remark1", "numeric", 1, 2), "879c0e8e46eb", "5987e445b22a", {}),
+    (("cascade3", "dual", 2, 1), "56d7d5110e0d", "274c62fbcb70", {}),
+    (("cascade3", "numeric", 2, 1), "4540459d5229", "1fff01a469b2", {}),
+]
+
+
+@pytest.mark.parametrize("row", ROWS, ids=["-".join(map(str, r[0])) for r in ROWS])
+def test_golden_digests(row, tmp_path):
+    (name, mode, horizon, runs), csv_digest, digest, halts = row
+    cfg = load_bundled(name)
+    cfg.scratch_mode, cfg.horizon, cfg.runs = mode, horizon, runs
+    report, records = monte_carlo(cfg, out_dir=str(tmp_path))
+    got = (report.csv_digest[:12], report.digest[:12],
+           {i: len(r) for i, r in enumerate(records) if r.diverged})
+    assert got == (csv_digest, digest, halts), (
+        f"golden digests were recorded on numpy {RECORDED_ON_NUMPY}; "
+        f"this is numpy {np.__version__}")

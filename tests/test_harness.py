@@ -160,7 +160,7 @@ def test_equilibrium_stays_at_origin_without_noise(section4_config):
     for est in cfg.initial_estimates.steps:
         est.vartheta_hat[:] = 0.0
         est.p_hat[:] = 0.0
-        est.eps_hat = 0.0
+        est.eps_hat[...] = 0.0
         est.W_hat[:] = 0.0
     rec = run_closed_loop(cfg, 0)
     assert np.all(rec.states == 0.0)
