@@ -42,7 +42,10 @@ other rows give the state derivatives.
 The state derivatives come in one of two modes: "dual" propagates a degree-2
 Taylor jet in x_1 through step 1 (machine precision for the first recursion
 level, which covers second-order plants); "numeric" uses central differences
-with fixed relative steps.
+with fixed relative steps.  Either way the scratch of step i evaluates step
+i-1 at the point itself (the jet's value, or the stencil's base row) and
+keeps it as ``StepScratch.base``, so a forward pass evaluates each step at
+the point once.
 Everything here is a pure function of (x, AdaptiveState, GainConfig).  An
 AdaptiveState holds all of a batch's estimates in one (..., P) array, step by
 step and (vartheta, p, eps, W) within a step; the rates share that layout.
@@ -133,6 +136,18 @@ class StepEstimates:
     W_hat: np.ndarray                # (..., l_i)
 
 
+class _BoundStep(StepEstimates):
+    """A step of an AdaptiveState: its fields are views into the state's
+    array, and assigning a field writes the view instead of rebinding it."""
+
+    def __init__(self, vartheta_hat, p_hat, eps_hat, W_hat):
+        self.__dict__.update(vartheta_hat=vartheta_hat, p_hat=p_hat, eps_hat=eps_hat,
+                             W_hat=W_hat)
+
+    def __setattr__(self, name, value):
+        getattr(self, name)[...] = value
+
+
 class AdaptiveState:
     """All online estimates of a batch as one (..., P) array ``values``.
 
@@ -140,8 +155,9 @@ class AdaptiveState:
     and runs (vartheta, p, eps, W) within a step; ``layout[i]`` holds step
     i+1's slices, eps as an index, built once from the block sizes.
     ``steps`` is a tuple of StepEstimates whose fields are views into
-    ``values`` (eps_hat 0-d for one run), so writing into a field writes the
-    array.  The adaptive rates use the same layout.
+    ``values`` (eps_hat 0-d for one run), so writing into a field, or
+    assigning it (``state.steps[0].eps_hat = 0.0``), writes the array.  The
+    adaptive rates use the same layout.
     """
 
     def __init__(self, steps: List[StepEstimates]):
@@ -157,8 +173,8 @@ class AdaptiveState:
 
     def _bind(self, values: np.ndarray, layout, ends):
         self.values, self.layout, self.ends = values, layout, ends
-        self.steps = tuple([StepEstimates(values[..., vt], values[..., p], values[..., e],
-                                          values[..., w]) for vt, p, e, w in layout])
+        self.steps = tuple([_BoundStep(values[..., vt], values[..., p], values[..., e],
+                                       values[..., w]) for vt, p, e, w in layout])
         return self
 
     def with_values(self, values: np.ndarray) -> "AdaptiveState":
@@ -185,7 +201,10 @@ class StepScratch:
     1..i-2 of the partials in their estimates times their rates, the time
     derivative of alpha_{i-1} along those steps' adaptive laws (0.0 for
     i = 2, which has no earlier steps).  ``failed`` flags the rows where
-    these are not finite or an evaluation behind them failed.
+    these are not finite or an evaluation behind them failed.  ``base``
+    holds step i-1's quantities at the point itself, which the jet pass or
+    the difference stencil's base row evaluated on the way, so a forward
+    pass does not evaluate step i-1 again.
     """
 
     alpha: float
@@ -197,6 +216,7 @@ class StepScratch:
     d_W: List[np.ndarray]
     est_flow: float
     failed: np.ndarray               # (...) bool
+    base: Optional[dict] = None      # step i-1's quantities at x
 
 
 @dataclass
@@ -340,12 +360,15 @@ def _step_quantities(i, xs, est, gains_i: StepGains, plant, net: RbfNetwork,
     if not final_step:
         terms = terms - 0.75 * jpow(jabs(g), 4.0 / 3.0) * z
     if i >= 2:
-        shape = np.shape(z)
         terms = terms - 0.25 * z
-        phi_rows = np.stack([stack_entries(phis[j], shape) for j in range(i - 1)], axis=-2)
-        coupling = (phi_rows[..., :, None, :] * phi_rows[..., None, :, :]).sum(axis=-1)
-        contracted = (scratch.hess_x * coupling).reshape(shape + (-1,))
-        terms = terms + 0.5 * contracted.sum(axis=-1)
+        # the Ito coupling, skipped when the earlier steps' diffusion rows are
+        # literal zeros (as _smoothed and _dot_seq skip such terms)
+        if any(type(e) is not float or e != 0.0 for phi in phis[:-1] for e in phi):
+            shape = np.shape(z)
+            phi_rows = np.stack([stack_entries(phis[j], shape) for j in range(i - 1)], axis=-2)
+            coupling = (phi_rows[..., :, None, :] * phi_rows[..., None, :, :]).sum(axis=-1)
+            contracted = (scratch.hess_x * coupling).reshape(shape + (-1,))
+            terms = terms + 0.5 * contracted.sum(axis=-1)
         for j in range(i - 1):
             terms = terms + grad[j] * plant.g[j](xs[: j + 1]) * xs[j + 1]
         if i >= 3:
@@ -382,13 +405,14 @@ def _steps_through(level, x, adaptive: AdaptiveState, gains: GainConfig, plant,
                    nets, mode: str, final_step: bool = False):
     """Steps 1..level at a float point (or a batch of points).
 
-    Returns every step's quantities and the rates, steps 1..level-1 filled.  In
-    dual mode with level >= 2 one jet pass evaluates step 1 and gives step
-    2's scratch; otherwise step i's scratch comes from :func:`compute_scratch`.
+    Returns every step's quantities and the rates, steps 1..level-1 filled.
+    Each point is evaluated once: step i < level comes from step i+1's
+    scratch, which evaluates it at x on the way (the jet pass in dual mode at
+    i = 1, else the base row of :func:`compute_scratch`'s stencil); only step
+    ``level``, which no scratch sits above, is evaluated here.
     ``final_step`` applies to step ``level``.  A step's ``failed`` includes
     the failures of the steps and scratches before it.
     """
-    xs = [x[..., j] for j in range(x.shape[-1])]
     rates = adaptive.with_values(np.zeros(np.broadcast(x[..., :1], adaptive.values).shape))
     qs, scratch = [], None
     for i in range(1, level + 1):
@@ -396,16 +420,17 @@ def _steps_through(level, x, adaptive: AdaptiveState, gains: GainConfig, plant,
             q = qs[-1]
             adaptive_rates(i - 1, q["z"], q["w0"], q["w1"], q["w2"], q["S"],
                            adaptive.steps[i - 2], gains[i - 2], out=rates.steps[i - 2])
-        if i == 1 and level >= 2 and mode == "dual":
-            scratch, q = _scratch_first_level_jets(x, adaptive, gains, plant, nets)
-        else:
-            if i >= 2 and scratch is None:
-                scratch = compute_scratch(i, x, adaptive, gains, plant, nets, mode=mode,
+        if i < level:
+            if i == 1 and mode == "dual":
+                scratch = _scratch_first_level_jets(x, adaptive, gains, plant, nets)
+            else:
+                scratch = compute_scratch(i + 1, x, adaptive, gains, plant, nets, mode=mode,
                                           rates=rates)
-            q = _step_quantities(i, xs, adaptive.steps[i - 1], gains[i - 1], plant,
-                                 nets[i - 1], scratch, rates,
-                                 final_step=final_step and i == level)
-            scratch = None
+            q = scratch.base
+        else:
+            q = _step_quantities(i, [x[..., j] for j in range(x.shape[-1])],
+                                 adaptive.steps[i - 1], gains[i - 1], plant, nets[i - 1],
+                                 scratch, rates, final_step=final_step)
         qs.append(q)
     return qs, rates
 
@@ -426,7 +451,8 @@ def _chain_alpha_value(level, x, adaptive: AdaptiveState, gains: GainConfig,
 
 def _scratch_first_level_jets(x, adaptive: AdaptiveState, gains: GainConfig,
                               plant, nets):
-    """Jet pass through step 1; returns (scratch, step-1 quantity values).
+    """Jet pass through step 1: step 2's scratch, with the step-1 quantity
+    values as its ``base``.
 
     Only x_1 is tagged: the estimates enter as plain numbers, and their
     partials come from :func:`_own_step_partials`.
@@ -439,14 +465,13 @@ def _scratch_first_level_jets(x, adaptive: AdaptiveState, gains: GainConfig,
     q["failed"] = q["failed"] | ~(np.isfinite(aj.val) & np.isfinite(aj.d1)
                                   & np.isfinite(aj.d2))
     d_vt, d_p, d_eps, d_W = _own_step_partials(q)
-    scratch = StepScratch(
+    return StepScratch(
         alpha=aj.val,
         grad_x=aj.d1[..., None],
         hess_x=aj.d2[..., None, None],
         d_vartheta=[d_vt], d_p=[d_p], d_eps=[d_eps], d_W=[d_W], est_flow=0.0,
-        failed=q["failed"],
+        failed=q["failed"], base=q,
     )
-    return scratch, q
 
 
 def _quantity_values(v):
@@ -457,19 +482,31 @@ def _quantity_values(v):
     return v
 
 
+def _row0(v, rank: int):
+    """Row 0 of a quantity evaluated over a stencil's points of batch rank
+    ``rank``: lists entry by entry; a value without the point axis (a literal
+    0.0 entry, a constant gain) as it is."""
+    if isinstance(v, list):
+        return [_row0(e, rank) for e in v]
+    return v[0] if np.ndim(v) >= rank else v
+
+
 @lru_cache(maxsize=None)
 def _stencil(level: int):
-    """A scratch's points as (signs, M, J, K), built once per level: a sign
-    per point and coordinate (0.0: stays at x0).  The M stencil rows are the
-    base point, +-h1 along each coordinate, +-h2 along each, and (+-h2, +-h2)
-    along each pair (J, K); from level 2 on two base rows follow."""
+    """A scratch's points as (signs, moved, first, M, J, K), built once per
+    level: a sign per point and coordinate, whether the point moves that
+    coordinate, and whether its step is the first-order one.  The M stencil
+    rows are the base point, +-h1 along each coordinate, +-h2 along each, and
+    (+-h2, +-h2) along each pair (J, K); from level 2 on two base rows
+    follow."""
     J, K = np.triu_indices(level, 1)
     axis = [{j: s} for j in range(level) for s in (1.0, -1.0)]
     cross = [{j: sj, k: sk} for j, k in zip(J.tolist(), K.tolist())
              for sj, sk in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))]
     moves = [{}] + axis + axis + cross + [{}, {}] * (level > 1)
     signs = np.array([[mv.get(j, 0.0) for j in range(level)] for mv in moves])
-    return signs, 1 + 4 * level + len(cross), J, K
+    first = (np.arange(len(moves)) <= 2 * level)[:, None]
+    return signs, signs != 0.0, first, 1 + 4 * level + len(cross), J, K
 
 
 def _scratch_numeric(level, x, adaptive: AdaptiveState, gains: GainConfig,
@@ -480,25 +517,29 @@ def _scratch_numeric(level, x, adaptive: AdaptiveState, gains: GainConfig,
     those, the earlier steps' estimates, a prefix of the layout, move to
     est +- h * rate, with h = FD_STEP_FIRST * max(1, |est|) / |rate| (norms
     over steps 1..level-1); a zero rate gives exactly 0.0.  A moved
-    coordinate is x0 + (+-h); an unmoved one is x0 itself."""
+    coordinate is x0 + (+-h); an unmoved one is x0 itself.  Row 0, x0 at the
+    held estimates, is the scratch's ``base``; the own-step partials come
+    from it."""
     x0 = x[..., :level]
     h1 = FD_STEP_FIRST * np.maximum(1.0, np.abs(x0))
     h2 = FD_STEP_SECOND * np.maximum(1.0, np.abs(x0))
-    signs, m, J, K = _stencil(level)
-    signs = signs.reshape(signs.shape[:1] + (1,) * (x0.ndim - 1) + signs.shape[1:])
-    first = np.arange(len(signs)).reshape(signs.shape[:-1] + (1,)) <= 2 * level
-    pts = np.where(signs != 0.0, x0 + signs * np.where(first, h1, h2), x0)
+    signs, moved, first, m, J, K = _stencil(level)
+    lead = (len(signs),) + (1,) * (x0.ndim - 1)
+    signs, moved, first = (t.reshape(lead + t.shape[1:]) for t in (signs, moved, first))
+    pts = np.where(moved, x0 + signs * np.where(first, h1, h2), x0)
     if level > 1:
         if rates is None:    # a standalone call: the rates as a pass gets them
             rates = _chain_alpha_value(level, x0, adaptive, gains, plant, nets, inner_mode)[1]
         rate_norm, est_norm = _norm(rates, level - 1), _norm(adaptive, level - 1)
         still = rate_norm == 0.0
         h = FD_STEP_FIRST * np.maximum(1.0, est_norm) / np.where(still, 1.0, rate_norm)
-        end, held, r = adaptive.ends[level - 1], adaptive.values, rates.values
-        est = np.array(np.broadcast_to(held, (m + 2,) + r.shape))
-        est[m:, ..., :end] = held[..., :end] + np.stack((h, -h))[..., None] * r[..., :end]
+        end, r = adaptive.ends[level - 1], rates.values
+        est = np.empty((m + 2,) + r.shape)
+        est[...] = adaptive.values
+        est[m:, ..., :end] += np.stack((h, -h))[..., None] * r[..., :end]
         adaptive = adaptive.with_values(est)
     q, _ = _chain_alpha_value(level, pts, adaptive, gains, plant, nets, inner_mode)
+    base = {k: _row0(v, pts.ndim - 1) for k, v in q.items()}
     a = np.broadcast_to(q["alpha"], pts.shape[:-1])
     alpha0, n2 = a[0], 2 * level
     grad_x = np.moveaxis(a[1:n2 + 1:2] - a[2:n2 + 2:2], 0, -1) / (2.0 * h1)
@@ -514,8 +555,8 @@ def _scratch_numeric(level, x, adaptive: AdaptiveState, gains: GainConfig,
     finite = (np.isfinite(alpha0) & np.all(np.isfinite(grad_x), axis=-1)
               & np.all(np.isfinite(hess), axis=(-2, -1)) & np.isfinite(flow))
     failed = np.any(np.broadcast_to(q["failed"], a.shape), axis=0) | ~finite
-    d_vt, d_p, d_eps, d_W = ([d[0]] for d in _own_step_partials(q))
-    return StepScratch(alpha0, grad_x, hess, d_vt, d_p, d_eps, d_W, flow, failed)
+    d_vt, d_p, d_eps, d_W = ([d] for d in _own_step_partials(base))
+    return StepScratch(alpha0, grad_x, hess, d_vt, d_p, d_eps, d_W, flow, failed, base)
 
 
 def _norm(state: AdaptiveState, k: int) -> np.ndarray:
@@ -551,7 +592,7 @@ def compute_scratch(i: int, x, adaptive: AdaptiveState, gains: GainConfig,
     x = np.asarray(x, dtype=float)
     level = i - 1
     if mode == "dual" and level == 1:
-        return _scratch_first_level_jets(x, adaptive, gains, plant, nets)[0]
+        return _scratch_first_level_jets(x, adaptive, gains, plant, nets)
     return _scratch_numeric(level, x, adaptive, gains, plant, nets, mode, rates)
 
 

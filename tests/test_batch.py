@@ -7,6 +7,7 @@ step path rounds a batch row as it rounds a lone value; the first test pins
 that for this numpy, so an upgrade that breaks it fails here first.
 """
 
+import dataclasses
 import hashlib
 import json
 
@@ -99,8 +100,28 @@ def _section4_short():
     return cfg
 
 
-@pytest.mark.parametrize("make", [_section4_short, _remark1_with_halts],
-                         ids=["section4", "remark1"])
+def _section4_numeric_short():
+    cfg = _section4_short()
+    cfg.scratch_mode, cfg.horizon, cfg.runs = "numeric", 0.02, 14
+    return cfg
+
+
+def _cascade3_noisy(mode):
+    # noise on x_3 alone, so the runs differ and steps 2 and 3 still skip the
+    # Ito coupling of the literal-zero rows above them
+    def make():
+        cfg = load_bundled("cascade3")
+        zero = cfg.plant.phi[0]
+        cfg.plant = dataclasses.replace(cfg.plant, phi=[zero, zero, lambda xb: [0.2]])
+        cfg.scratch_mode, cfg.horizon, cfg.runs, cfg.csv_decimation = mode, 0.1, 14, 1
+        return cfg
+    return make
+
+
+@pytest.mark.parametrize("make", [_section4_short, _remark1_with_halts, _section4_numeric_short,
+                                  _cascade3_noisy("dual"), _cascade3_noisy("numeric")],
+                         ids=["section4", "remark1", "section4-numeric", "cascade3-dual",
+                              "cascade3-numeric"])
 def test_run_csv_bytes_do_not_depend_on_the_batch(make, tmp_path):
     cfg = make()
     alone = _in_batches(cfg, 1)
@@ -112,6 +133,8 @@ def test_run_csv_bytes_do_not_depend_on_the_batch(make, tmp_path):
             [(r.diverged, r.diverged_step, len(r)) for r in alone]
     report, _ = monte_carlo(cfg, out_dir=str(tmp_path / "sweep"))
     assert report.csv_digest == hashlib.sha256(b"".join(want)).hexdigest()
+    kept = [w for w, r in zip(want, alone) if not r.diverged]
+    assert len(set(kept)) == len(kept)        # the runs that do not halt differ
     if make is _remark1_with_halts:
         halts = {i: len(r) for i, r in enumerate(alone) if r.diverged}
         assert 5 <= len(halts) <= 45 and len(set(halts.values())) > 5

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 import pickle
 
@@ -163,6 +164,33 @@ def test_estimates_are_views_into_one_flat_array():
     rows = a.with_values(np.stack([a.values, -a.values]))
     assert rows.steps[1].eps_hat.tolist() == [9.5, -9.5]
     assert np.array_equal(rows.euler(rows, 0.5).values, 1.5 * rows.values)
+
+
+@pytest.mark.parametrize("batch", [(), (3,)], ids=["one", "B3"])
+def test_assigning_a_bound_field_writes_the_state(batch):
+    # state.steps[k].<field> = v writes v into the state's array, as an item
+    # write does, in the state itself, a copy and an unpickled state; the
+    # field stays a view, and the other states keep their values
+    def est(q, i, l):
+        return StepEstimates(np.ones(batch + (q,)), np.ones(batch + (i,)),
+                             1.0 if batch == () else np.ones(batch), np.ones(batch + (l,)))
+    a = AdaptiveState([est(2, 1, 4), est(1, 2, 3)])
+    for b in (a, a.copy(), pickle.loads(pickle.dumps(a))):
+        for k, slices in enumerate(b.layout):
+            for field, where in zip(ESTIMATE_BLOCKS, slices):
+                others = a.values.copy()
+                want = -np.arange(1.0, 1.0 + b.values[..., where].size).reshape(
+                    b.values[..., where].shape)
+                setattr(b.steps[k], field, want if want.ndim else float(want))
+                assert np.array_equal(b.values[..., where], want), (k, field)
+                assert np.shares_memory(getattr(b.steps[k], field), b.values)
+                if b is not a:
+                    assert np.array_equal(a.values, others)
+    assert not np.any(a.values == 1.0)
+    # a free-standing record, such as rates without ``out``, is plain
+    r = adaptive_rates(1, 0.5, 0.1, [0.2], [0.3, 0.4], np.ones(4), a.steps[0], small_gains())
+    r.eps_hat = "rebound"
+    assert type(r) is StepEstimates and r.eps_hat == "rebound"
 
 
 def test_rates_vanish_at_zero_error_and_zero_estimates():
@@ -533,6 +561,94 @@ def test_pass_scratch_is_the_standalone_scratch(monkeypatch):
             assert not np.any(alone.failed)
             if batch == 7:
                 assert alone.est_flow[0] == 0.0 and np.all(alone.est_flow[1:] != 0.0)
+
+
+@pytest.mark.parametrize("name, mode, calls", [
+    ("section4", "dual", 2), ("section4", "numeric", 2),
+    ("cascade3", "dual", 4), ("cascade3", "numeric", 4)])
+def test_forward_pass_evaluates_each_point_once(name, mode, calls, monkeypatch):
+    # a step below the top comes from the scratch above it (the jet pass or
+    # the stencil's base row), so a pass evaluates each step once per point:
+    # at x only the top step, and in a stencil's rows only the steps it needs
+    cfg = load_bundled(name)
+    real = controller._step_quantities
+    seen = []
+
+    def counting(i, *args, **kwargs):
+        seen.append(i)
+        return real(i, *args, **kwargs)
+    monkeypatch.setattr(controller, "_step_quantities", counting)
+    x = np.array([0.3, -0.2, 0.1][:cfg.n])
+    forward_pass(x, cfg.initial_estimates, cfg.gains, cfg.plant, cfg.networks, mode=mode)
+    assert len(seen) == calls, seen
+
+
+def _same_quantity(got, want):
+    # bits, shapes and types alike; a literal 0.0 stays a Python float
+    if isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want)
+        for g, w in zip(got, want):
+            _same_quantity(g, w)
+        return
+    assert (type(got) is float) == (type(want) is float), (type(got), type(want))
+    g, w = np.asarray(got), np.asarray(want)
+    assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("batch", [1, 7])
+@pytest.mark.parametrize("mode", ["dual", "numeric"])
+def test_scratch_base_is_the_direct_step_evaluation(mode, batch):
+    # compute_scratch(i).base is step i-1 evaluated at x with its own scratch
+    # and the rates of the steps before it; cascade3 with g_1 = x_1, so row 0
+    # of the batch (x_1 = 0) has a singular gain and fails at both steps
+    cfg = load_bundled("cascade3")
+    gains, nets = cfg.gains, cfg.networks
+    plant = dataclasses.replace(cfg.plant, g=[lambda xb: xb[0]] + cfg.plant.g[1:])
+    stream = derive_stream(24, 9)
+    rows = [cascade3_estimates(stream) for _ in range(batch)]
+    est = rows[0] if batch == 1 else rows[0].with_values(np.stack([r.values for r in rows]))
+    x = stream.uniform(3 * batch, -1.0, 1.0).reshape((batch, 3) if batch > 1 else (3,))
+    if batch > 1:
+        x[0, 0] = 0.0
+    xs = [x[..., j] for j in range(3)]
+    rates = est.with_values(np.zeros(np.shape(est.values)))
+    with np.errstate(all="ignore"):
+        for k in (1, 2):
+            inner = None if k == 1 else compute_scratch(k, x, est, gains, plant, nets,
+                                                        mode=mode, rates=rates)
+            got = compute_scratch(k + 1, x, est, gains, plant, nets, mode=mode).base
+            want = controller._step_quantities(k, xs, est.steps[k - 1], gains[k - 1], plant,
+                                               nets[k - 1], inner, rates, final_step=False)
+            if mode == "dual" and k == 1:
+                # dual mode's step 1 at x is the jet pass's values, and a jet
+                # divides by multiplying with 1/g_1: an ulp off the float law
+                want = got
+            assert got.keys() == want.keys()
+            for key in want:
+                _same_quantity(got[key], want[key])
+            assert np.ravel(want["failed"]).tolist() == [batch > 1] + [False] * (batch - 1)
+            adaptive_rates(k, want["z"], want["w0"], want["w1"], want["w2"], want["S"],
+                           est.steps[k - 1], gains[k - 1], out=rates.steps[k - 1])
+
+
+@pytest.mark.parametrize("mode", ["dual", "numeric"])
+def test_ito_skip_changes_no_bits(mode):
+    # cascade3's diffusion rows are literal 0.0, so steps 2 and 3 skip the
+    # Ito coupling; zeros as arrays run it, and the pass must not change
+    cfg = load_bundled("cascade3")
+    gains, nets = cfg.gains, cfg.networks
+    arrays = dataclasses.replace(cfg.plant, phi=[lambda xb: [0.0 * xb[0]]] * 3)
+    stream = derive_stream(24, 11)
+    rows = [cascade3_estimates(stream) for _ in range(20)]
+    est = rows[0].with_values(np.stack([r.values for r in rows]))
+    x = stream.uniform(60, -1.0, 1.0).reshape(20, 3)
+    skipped = forward_pass(x, est, gains, cfg.plant, nets, mode=mode)
+    coupled = forward_pass(x, est, gains, arrays, nets, mode=mode)
+    for f in ("u", "alphas", "failed"):
+        a, b = np.asarray(getattr(skipped, f)), np.asarray(getattr(coupled, f))
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), f
+    assert skipped.rates.values.tobytes() == coupled.rates.values.tobytes()
+    assert not np.any(skipped.failed)
 
 
 def test_scratch_rejects_first_step():
