@@ -44,8 +44,10 @@ Taylor jet in x_1 through step 1 (machine precision for the first recursion
 level, which covers second-order plants); "numeric" uses central differences
 with fixed relative steps.  Either way the scratch of step i evaluates step
 i-1 at the point itself (the jet's value, or the stencil's base row) and
-keeps it as ``StepScratch.base``, so a forward pass evaluates each step at
-the point once.
+keeps it as ``StepScratch.base``.  A forward pass is one recursion: step n
+builds its scratch, whose base is step n-1, and steps 1..n-2 come from the
+same recursion two levels down, so each step is evaluated at the point once
+and a scratch is built only where its derivatives are read.
 Everything here is a pure function of (x, AdaptiveState, GainConfig).  An
 AdaptiveState holds all of a batch's estimates in one (..., P) array, step by
 step and (vartheta, p, eps, W) within a step; the rates share that layout.
@@ -322,10 +324,12 @@ def adaptive_rates(i: int, z_i: float, w0, w1, w2, S_i: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def _step_quantities(i, xs, est, gains_i: StepGains, plant, net: RbfNetwork,
-                     scratch: Optional[StepScratch], rates_prev, final_step: bool):
+                     scratch: Optional[StepScratch], rates_prev):
     """All step-i quantities at a point (or a batch of points); xs holds the
     state components, jets for i == 1 in the dual jet pass.  Step 1 has no
-    earlier step to cancel: no scratch, an empty gradient and z_1 = x_1."""
+    earlier step to cancel: no scratch, an empty gradient and z_1 = x_1.
+    Step n gives the control u, so it drops the term that passes an error
+    onward."""
     first = scratch is None
     grad = [] if first else [scratch.grad_x[..., j] for j in range(i - 1)]
     z = xs[0] if first else xs[i - 1] - scratch.alpha
@@ -357,7 +361,7 @@ def _step_quantities(i, xs, est, gains_i: StepGains, plant, net: RbfNetwork,
     diffusion_comp = (3.0 * z / (4.0 * gains_i.young_eps1)) * (rho_sq * rho_sq)
 
     terms = (-gains_i.c * z - beta0 - beta1 - beta2 - nn_out - diffusion_comp)
-    if not final_step:
+    if i < plant.n:
         terms = terms - 0.75 * jpow(jabs(g), 4.0 / 3.0) * z
     if i >= 2:
         terms = terms - 0.25 * z
@@ -401,37 +405,43 @@ def _own_step_partials(q):
             -q["S"] * inv_gv)
 
 
+def _rates_into(k, q, adaptive: AdaptiveState, gains: GainConfig, rates: AdaptiveState):
+    """Step k's adaptive rates from its quantities ``q``, into ``rates``."""
+    adaptive_rates(k, q["z"], q["w0"], q["w1"], q["w2"], q["S"], adaptive.steps[k - 1],
+                   gains[k - 1], out=rates.steps[k - 1])
+
+
+def _steps_below(i, x, adaptive: AdaptiveState, gains: GainConfig, plant, nets, mode: str):
+    """What step i's scratch reads besides x: steps 1..i-2 at x and a rate
+    state with their rates, from the recursion two levels below step i."""
+    if i < 3:
+        return [], adaptive.with_values(np.zeros(np.broadcast(x[..., :1], adaptive.values).shape))
+    qs, rates = _steps_through(i - 2, x, adaptive, gains, plant, nets, mode)
+    _rates_into(i - 2, qs[-1], adaptive, gains, rates)
+    return qs, rates
+
+
 def _steps_through(level, x, adaptive: AdaptiveState, gains: GainConfig, plant,
-                   nets, mode: str, final_step: bool = False):
+                   nets, mode: str):
     """Steps 1..level at a float point (or a batch of points).
 
     Returns every step's quantities and the rates, steps 1..level-1 filled.
-    Each point is evaluated once: step i < level comes from step i+1's
-    scratch, which evaluates it at x on the way (the jet pass in dual mode at
-    i = 1, else the base row of :func:`compute_scratch`'s stencil); only step
-    ``level``, which no scratch sits above, is evaluated here.
-    ``final_step`` applies to step ``level``.  A step's ``failed`` includes
-    the failures of the steps and scratches before it.
+    Each point is evaluated once: step ``level`` builds its own scratch,
+    which evaluates step level-1 at x on the way (its ``base``: the jet pass
+    in dual mode at level 2, else the stencil's base row), and steps
+    1..level-2 with their rates come from :func:`_steps_below`, which a
+    standalone :func:`compute_scratch` uses too.  A step's ``failed``
+    includes the failures of the steps and scratches before it.
     """
-    rates = adaptive.with_values(np.zeros(np.broadcast(x[..., :1], adaptive.values).shape))
-    qs, scratch = [], None
-    for i in range(1, level + 1):
-        if i >= 2:
-            q = qs[-1]
-            adaptive_rates(i - 1, q["z"], q["w0"], q["w1"], q["w2"], q["S"],
-                           adaptive.steps[i - 2], gains[i - 2], out=rates.steps[i - 2])
-        if i < level:
-            if i == 1 and mode == "dual":
-                scratch = _scratch_first_level_jets(x, adaptive, gains, plant, nets)
-            else:
-                scratch = compute_scratch(i + 1, x, adaptive, gains, plant, nets, mode=mode,
-                                          rates=rates)
-            q = scratch.base
-        else:
-            q = _step_quantities(i, [x[..., j] for j in range(x.shape[-1])],
-                                 adaptive.steps[i - 1], gains[i - 1], plant, nets[i - 1],
-                                 scratch, rates, final_step=final_step)
-        qs.append(q)
+    qs, rates = _steps_below(level, x, adaptive, gains, plant, nets, mode)
+    scratch = None
+    if level >= 2:
+        scratch = compute_scratch(level, x, adaptive, gains, plant, nets, mode=mode, rates=rates)
+        qs.append(scratch.base)
+        _rates_into(level - 1, scratch.base, adaptive, gains, rates)
+    qs.append(_step_quantities(level, [x[..., j] for j in range(x.shape[-1])],
+                               adaptive.steps[level - 1], gains[level - 1], plant,
+                               nets[level - 1], scratch, rates))
     return qs, rates
 
 
@@ -458,7 +468,7 @@ def _scratch_first_level_jets(x, adaptive: AdaptiveState, gains: GainConfig,
     partials come from :func:`_own_step_partials`.
     """
     out = _step_quantities(1, [variable(x[..., 0])], adaptive.steps[0], gains[0],
-                           plant, nets[0], None, [], final_step=False)
+                           plant, nets[0], None, [])
     aj = out["alpha"]
     q = {k: _quantity_values(v) for k, v in out.items()}
     # alpha_1 is finite only if every regressor (hence every partial) is
@@ -528,8 +538,6 @@ def _scratch_numeric(level, x, adaptive: AdaptiveState, gains: GainConfig,
     signs, moved, first = (t.reshape(lead + t.shape[1:]) for t in (signs, moved, first))
     pts = np.where(moved, x0 + signs * np.where(first, h1, h2), x0)
     if level > 1:
-        if rates is None:    # a standalone call: the rates as a pass gets them
-            rates = _chain_alpha_value(level, x0, adaptive, gains, plant, nets, inner_mode)[1]
         rate_norm, est_norm = _norm(rates, level - 1), _norm(adaptive, level - 1)
         still = rate_norm == 0.0
         h = FD_STEP_FIRST * np.maximum(1.0, est_norm) / np.where(still, 1.0, rate_norm)
@@ -579,21 +587,24 @@ def compute_scratch(i: int, x, adaptive: AdaptiveState, gains: GainConfig,
     form, see :func:`_own_step_partials`).  mode "dual" runs a degree-2
     Taylor jet in x_1 (exact) for the first recursion level; for deeper
     levels the state derivatives and the estimate flow of the earlier steps
-    are central differences over the rows of one evaluation whose inner
-    scratches are exact (:func:`_scratch_numeric`).  mode "numeric" uses
-    central differences for all of those.  ``rates`` is the rate state at x
-    the calling pass holds (steps 1..i-2 are read); without it, i >= 3 first
-    evaluates alpha_{i-1} at x for them.
+    are central differences over the rows of one evaluation
+    (:func:`_scratch_numeric`), whose steps take their own scratches the
+    same way, down to the jet pass.  mode "numeric" uses central differences
+    at every level.  ``rates`` is the rate state at x the calling pass holds
+    (steps 1..i-2 are read); without it they come from
+    :func:`_steps_below`, as in a pass.  This is the one place where the
+    mode picks the jet pass or a stencil.
     """
     if i < 2:
         raise ValueError("scratch is defined for steps i >= 2")
     if mode not in ("dual", "numeric"):
         raise ValueError(f"unknown scratch mode {mode!r}")
     x = np.asarray(x, dtype=float)
-    level = i - 1
-    if mode == "dual" and level == 1:
+    if rates is None:
+        rates = _steps_below(i, x, adaptive, gains, plant, nets, mode)[1]
+    if mode == "dual" and i == 2:
         return _scratch_first_level_jets(x, adaptive, gains, plant, nets)
-    return _scratch_numeric(level, x, adaptive, gains, plant, nets, mode, rates)
+    return _scratch_numeric(i - 1, x, adaptive, gains, plant, nets, mode, rates)
 
 
 # ---------------------------------------------------------------------------
@@ -603,10 +614,9 @@ def compute_scratch(i: int, x, adaptive: AdaptiveState, gains: GainConfig,
 @np.errstate(all="ignore")
 def alpha_1(x1: float, adaptive: AdaptiveState, gains: GainConfig, plant,
             nets) -> float:
-    """First intermediate law (final-step form is never used here)."""
+    """Step 1's law at x_1: alpha_1 (u itself for a one-state plant)."""
     q = _step_quantities(1, [np.asarray(x1, dtype=float)], adaptive.steps[0],
-                         gains[0], plant, nets[0], None, [],
-                         final_step=(plant.n == 1))
+                         gains[0], plant, nets[0], None, [])
     return q["alpha"]
 
 
@@ -621,10 +631,9 @@ def forward_pass(x, adaptive: AdaptiveState, gains: GainConfig, plant, nets,
     n = plant.n
     x = np.asarray(x, dtype=float)
     shape = x.shape[:-1]
-    qs, rates = _steps_through(n, x, adaptive, gains, plant, nets, mode, final_step=True)
+    qs, rates = _steps_through(n, x, adaptive, gains, plant, nets, mode)
     last = qs[-1]
-    adaptive_rates(n, last["z"], last["w0"], last["w1"], last["w2"], last["S"],
-                   adaptive.steps[n - 1], gains[n - 1], out=rates.steps[n - 1])
+    _rates_into(n, last, adaptive, gains, rates)
     z = stack_entries([q["z"] for q in qs], shape)
     alphas = stack_entries([q["alpha"] for q in qs[:-1]], shape)
     failed = np.zeros(shape, dtype=bool)

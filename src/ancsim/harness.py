@@ -23,7 +23,7 @@ from .config import MAX_SWEEP_BYTES, TAIL_FRACTION, ConfigError, ExperimentConfi
 from .controller import AdaptiveState, forward_pass
 from .monitor import (bounded_in_probability_stat, convergence_stat,
                       empirical_drift, lambda_K, reference_truth_norms,
-                      state_energy)
+                      state_energy, tail_sups)
 from .plant import diffusion, drift
 from .rng import derive_stream, wiener_increments
 from .sde import DIVERGENCE_LIMIT, TrajectoryRecord, em_update
@@ -269,20 +269,16 @@ def monte_carlo(config: ExperimentConfig, out_dir: Optional[str] = None,
 def summarize(config: ExperimentConfig, records: List[TrajectoryRecord],
               csv_digest: str = "") -> RunReport:
     diverged = [i for i, r in enumerate(records) if r.diverged]
-    ok = [r for r in records if not r.diverged]
+    kept = [i for i, r in enumerate(records) if not r.diverged]
+    ok = [records[i] for i in kept]
     tail_start = TAIL_FRACTION * config.horizon
 
     truth = reference_truth_norms(config.plant, config.networks)
     bounds = lambda_K(config.gains, truth)
 
-    per_run_tail = {}
+    sups = tail_sups(ok, tail_start)
     if ok:
-        quant = convergence_stat(ok, tail_start)
-        for i, r in enumerate(records):
-            if not r.diverged:
-                mask = r.times >= tail_start
-                per_run_tail[i] = float(np.max(np.linalg.norm(r.states[mask],
-                                                              axis=1)))
+        quant = convergence_stat(sups)
         exceed = {lvl: bounded_in_probability_stat(ok, lvl)
                   for lvl in EXCEEDANCE_LEVELS}
         tail_mask = ok[0].times >= tail_start
@@ -306,7 +302,7 @@ def summarize(config: ExperimentConfig, records: List[TrajectoryRecord],
         tail_mean_Vx=tail_mean_vx, max_estimate_norm=max_est,
         drift_negative_above_residual=drift_ok,
         csv_digest=csv_digest,
-        tail_sup_per_run=";".join(f"{i}:{_fmt(v)}" for i, v in sorted(per_run_tail.items())),
+        tail_sup_per_run=";".join(f"{i}:{_fmt(v)}" for i, v in zip(kept, sups)),
     )
     body = "\n".join(report.as_lines()[:-1])
     report.digest = hashlib.sha256(body.encode()).hexdigest()

@@ -22,7 +22,7 @@ from .sde import TrajectoryRecord
 __all__ = [
     "BoundConstants", "TruthNorms",
     "state_energy", "lambda_K", "reference_truth_norms", "empirical_drift",
-    "bounded_in_probability_stat", "convergence_stat",
+    "bounded_in_probability_stat", "convergence_stat", "tail_sups",
 ]
 
 _EIG_TOL = 1e-12
@@ -211,14 +211,19 @@ def bounded_in_probability_stat(ensemble: Sequence[TrajectoryRecord],
     return hits / len(ensemble)
 
 
-def convergence_stat(ensemble: Sequence[TrajectoryRecord], tail_start: float) -> dict:
-    """{min, median, q90, max} of sup_{t >= tail_start} ||x(t)|| across runs."""
+def tail_sups(ensemble: Sequence[TrajectoryRecord], tail_start: float) -> List[float]:
+    """sup_{t >= tail_start} ||x(t)|| of each run, in ensemble order."""
     sups = []
     for rec in ensemble:
         mask = rec.times >= tail_start
         if not np.any(mask):
             raise ValueError("tail_start is beyond the trajectory horizon")
         sups.append(float(np.max(np.linalg.norm(rec.states[mask], axis=1))))
+    return sups
+
+
+def convergence_stat(sups: Sequence[float]) -> dict:
+    """{min, median, q90, max} of the runs' tail sups (:func:`tail_sups`)."""
     sups = np.asarray(sups)
     return {
         "min": float(np.min(sups)),

@@ -16,7 +16,7 @@ from .rng import derive_stream
 
 __all__ = [
     "RbfNetwork", "CenterLayout",
-    "basis", "basis_components", "eval_network", "make_centers", "fit_least_squares",
+    "basis_components", "make_centers", "fit_least_squares",
 ]
 
 _FIT_BLOCK = 64               # samples per block of the least-squares design matrix
@@ -73,18 +73,6 @@ def basis_components(centers: np.ndarray, width: float, z_components) -> object:
         term = d * d
         sq = term if sq is None else sq + term
     return jexp(sq * (-1.0 / (width * width)))
-
-
-def basis(net: RbfNetwork, Z: np.ndarray) -> np.ndarray:
-    """s_i(Z) = exp(-(Z - mu_i)^T (Z - mu_i) / eta^2); every entry in (0, 1]."""
-    Z = np.atleast_1d(np.asarray(Z, dtype=float))
-    diff = Z[None, :] - net.centers
-    return np.exp(-np.sum(diff * diff, axis=1) / net.width ** 2)
-
-
-def eval_network(net: RbfNetwork, Z: np.ndarray) -> float:
-    """Network output W^T S(Z)."""
-    return float(net.weights @ basis(net, Z))
 
 
 def _halton_axis(indices: np.ndarray, base: int, digit_mult: int) -> np.ndarray:

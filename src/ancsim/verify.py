@@ -16,7 +16,7 @@ from .controller import (FD_STEP_FIRST, AdaptiveState, StepEstimates, alpha_1,
                          compute_scratch, forward_pass)
 from .monitor import TruthNorms, empirical_drift, lambda_K, state_energy
 from .plant import check_assumptions, drift, preset_remark, preset_section4
-from .rbf import CenterLayout, RbfNetwork, basis, eval_network, make_centers
+from .rbf import CenterLayout, basis_components, make_centers
 from .rng import derive_stream, wiener_increments
 from .sde import TrajectoryRecord, em_update
 
@@ -120,14 +120,11 @@ def rbf_properties_check() -> CheckResult:
     stream = derive_stream(_SEED, 9)
     w1 = stream.normal(27)
     w2 = stream.normal(27)
-    net1 = RbfNetwork(1, centers, 0.8, w1)
-    zs = stream.uniform(200, -3.0, 3.0)
-    vals = np.array([basis(net1, np.array([z])) for z in zs])
+    # the basis the controller evaluates, 200 points in one batch
+    vals = basis_components(centers, 0.8, [stream.uniform(200, -3.0, 3.0)])
     in_range = np.all(vals > 0) and np.all(vals <= 1.0)
-    z0 = np.array([0.3])
-    lin = abs(eval_network(RbfNetwork(1, centers, 0.8, 2 * w1 + 3 * w2), z0)
-              - (2 * eval_network(net1, z0)
-                 + 3 * eval_network(RbfNetwork(1, centers, 0.8, w2), z0)))
+    s0 = basis_components(centers, 0.8, [0.3])
+    lin = abs((2 * w1 + 3 * w2) @ s0 - (2 * (w1 @ s0) + 3 * (w2 @ s0)))
     sym = np.allclose(np.sort(centers[:, 0]), np.sort(-centers[:, 0]))
     qr = make_centers(CenterLayout("quasi-random", [(-1.5, 1.5)] * 4,
                                    total=64, layout_seed=1))

@@ -18,7 +18,7 @@ from ancsim.harness import monte_carlo, run_closed_loop
 from ancsim.ineq import (diffusion_energy_margin, max_tanh_absorption_gap,
                          quartic_product_margin, tanh_absorption_gap)
 from ancsim.monitor import (convergence_stat, empirical_drift, lambda_K,
-                            reference_truth_norms)
+                            reference_truth_norms, tail_sups)
 from ancsim.plant import preset_section4
 from ancsim.rng import derive_stream, wiener_increments
 from ancsim.verify import derivative_agreement_check
@@ -85,8 +85,8 @@ def test_decay_rate_bookkeeping():
 
 def test_ensemble_regulation(section4_ensemble):
     cfg, report, records, _ = section4_ensemble
-    quant = convergence_stat([r for r in records if not r.diverged],
-                             tail_start=15.0)
+    quant = convergence_stat(tail_sups([r for r in records if not r.diverged],
+                                       tail_start=15.0))
     worst_est = report.max_estimate_norm
     ok = (quant["median"] < 0.05
           and len(report.diverged) == 0

@@ -3,9 +3,19 @@ import warnings
 import numpy as np
 import pytest
 
-from ancsim.rbf import (CenterLayout, RbfNetwork, basis, eval_network,
-                        fit_least_squares, make_centers)
+from ancsim.rbf import (CenterLayout, RbfNetwork, basis_components, fit_least_squares,
+                        make_centers)
 from ancsim.rng import derive_stream
+
+
+def basis(net, Z):
+    """S(Z) through the controller's basis, one input component at a time."""
+    return basis_components(net.centers, net.width, list(np.atleast_1d(Z)))
+
+
+def eval_network(net, Z):
+    """W^T S(Z)."""
+    return float(net.weights @ basis(net, Z))
 
 
 def grid_net(nodes=27, width=0.8, weights=None):
@@ -34,6 +44,20 @@ def test_basis_range_and_monotone_decay():
     d = np.linspace(0, 3, 50)
     vals = np.exp(-d ** 2 / 0.8 ** 2)
     assert np.all(np.diff(vals) < 0)
+
+
+def test_basis_batch_rows_are_single_points():
+    # a batch of inputs puts the points on the leading axis and rounds each
+    # row as the point alone; a two-input network takes one array per input
+    net = RbfNetwork(2, make_centers(CenterLayout("quasi-random", [(-1.5, 1.5)] * 2,
+                                                  total=9, layout_seed=3)), 0.8, np.zeros(9))
+    Z = derive_stream(8, 2).uniform(14, -2.0, 2.0).reshape(7, 2)
+    batch = basis_components(net.centers, net.width, [Z[:, 0], Z[:, 1]])
+    assert batch.shape == (7, 9)
+    for row, z in zip(batch, Z):
+        assert row.tobytes() == basis(net, z).tobytes()
+        explicit = np.exp(-np.sum((z - net.centers) ** 2, axis=1) / net.width ** 2)
+        assert np.allclose(row, explicit, rtol=1e-13, atol=0.0)
 
 
 def test_eval_zero_weights():
