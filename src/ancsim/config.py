@@ -21,7 +21,7 @@ from .plant import PRESETS, StrictFeedbackPlant, make_plant
 from .rbf import CenterLayout, RbfNetwork, make_centers
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "parse_config",
-           "bundled_preset_names", "bundled_preset_text"]
+           "bundled_preset_names", "bundled_preset_text", "load_bundled"]
 
 OUTPUT_DIR_ENV = "ANCSIM_OUT"
 

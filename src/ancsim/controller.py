@@ -31,7 +31,7 @@ Notes on the recursion terms:
 Derivatives of alpha_{i-1} come from :func:`compute_scratch`.  alpha_{i-1}
 is affine in its own step's estimates and g_{i-1} does not depend on them, so
 d alpha_{i-1} / d(vartheta, p, eps, W)_{i-1} = -(w2, w1, w0, S) / g_{i-1}
-exactly, in both modes, from the regressors the adaptive laws use anyway.
+exactly, in both modes, from step i-1's quantities, which the scratch keeps.
 The earlier steps' estimates enter the law only through the sum of their
 partials times their rates: the time derivative of alpha_{i-1} along the
 adaptive laws of steps 1..i-2.  That sum is one central difference of
@@ -44,10 +44,11 @@ Taylor jet in x_1 through step 1 (machine precision for the first recursion
 level, which covers second-order plants); "numeric" uses central differences
 with fixed relative steps.  Either way the scratch of step i evaluates step
 i-1 at the point itself (the jet's value, or the stencil's base row) and
-keeps it as ``StepScratch.base``.  A forward pass is one recursion: step n
-builds its scratch, whose base is step n-1, and steps 1..n-2 come from the
-same recursion two levels down, so each step is evaluated at the point once
-and a scratch is built only where its derivatives are read.
+keeps its quantities as ``StepScratch.base``, where step i reads alpha_{i-1}
+and the own-step partials.  A forward pass is one recursion: step n builds
+its scratch, whose base is step n-1, and steps 1..n-2 come from the same
+recursion two levels down, so each step is evaluated at the point once and a
+scratch is built only where its derivatives are read.
 Everything here is a pure function of (x, AdaptiveState, GainConfig).  An
 AdaptiveState holds all of a batch's estimates in one (..., P) array, step by
 step and (vartheta, p, eps, W) within a step; the rates share that layout.
@@ -197,28 +198,27 @@ class AdaptiveState:
 class StepScratch:
     """Derivatives of alpha_{i-1} at the current point.
 
-    grad_x / hess_x cover x_1..x_{i-1}.  The d_* lists hold one block: the
-    closed-form partials in step i-1's own estimates (one-element lists, so
-    that ``d_W[0]`` names that block).  est_flow is the sum over steps
+    grad_x / hess_x cover x_1..x_{i-1}.  est_flow is the sum over steps
     1..i-2 of the partials in their estimates times their rates, the time
     derivative of alpha_{i-1} along those steps' adaptive laws (0.0 for
     i = 2, which has no earlier steps).  ``failed`` flags the rows where
     these are not finite or an evaluation behind them failed.  ``base``
     holds step i-1's quantities at the point itself, which the jet pass or
-    the difference stencil's base row evaluated on the way, so a forward
-    pass does not evaluate step i-1 again.
+    the difference stencil's base row evaluated on the way.  Step i reads
+    alpha_{i-1} and its own-step partials from it, and a forward pass does
+    not evaluate step i-1 again.
     """
 
-    alpha: float
     grad_x: np.ndarray               # (..., i-1)
     hess_x: np.ndarray               # (..., i-1, i-1)
-    d_vartheta: List[np.ndarray]
-    d_p: List[np.ndarray]
-    d_eps: List[float]
-    d_W: List[np.ndarray]
     est_flow: float
     failed: np.ndarray               # (...) bool
-    base: Optional[dict] = None      # step i-1's quantities at x
+    base: dict                       # step i-1's quantities at x
+
+    # read-only one-element lists of the own-step partials for their one
+    # reader, bench/checks.py:_check_scratch_modes; ROADMAP item 1 removes both
+    d_vartheta, d_p, d_eps, d_W = (property(lambda self, k=k: [_own_step_partials(self.base)[k]])
+                                   for k in range(4))
 
 
 @dataclass
@@ -332,7 +332,7 @@ def _step_quantities(i, xs, est, gains_i: StepGains, plant, net: RbfNetwork,
     onward."""
     first = scratch is None
     grad = [] if first else [scratch.grad_x[..., j] for j in range(i - 1)]
-    z = xs[0] if first else xs[i - 1] - scratch.alpha
+    z = xs[0] if first else xs[i - 1] - scratch.base["alpha"]
     Phis = [plant.Phi_bound[j](xs[: j + 1]) for j in range(i)]
     Phi_stack = [grad[j] * Phis[j] for j in range(i - 1)] + [Phis[-1]]
     envs = [list(plant.varphi_bound[j](xs[: j + 1])) for j in range(i)]
@@ -342,7 +342,7 @@ def _step_quantities(i, xs, est, gains_i: StepGains, plant, net: RbfNetwork,
         varphi_stack = [vk + grad[j] * ek for vk, ek in zip(varphi_stack, envs[j])]
         rho = [rk - grad[j] * pk for rk, pk in zip(rho, phis[j])]
     designer = Phis + [e for env in envs for e in env]
-    Z = nn_input(1, xs) if first else nn_input(i, xs, scratch.alpha, scratch.grad_x)
+    Z = nn_input(1, xs) if first else nn_input(i, xs, scratch.base["alpha"], scratch.grad_x)
 
     g = plant.g[i - 1](xs[:i])
     gv = _val(g)
@@ -378,10 +378,9 @@ def _step_quantities(i, xs, est, gains_i: StepGains, plant, net: RbfNetwork,
         if i >= 3:
             terms = terms + scratch.est_flow
         r = rates_prev.steps[i - 2]
-        terms = terms + ((scratch.d_vartheta[0] * r.vartheta_hat).sum(axis=-1)
-                         + (scratch.d_p[0] * r.p_hat).sum(axis=-1)
-                         + scratch.d_eps[0] * r.eps_hat
-                         + (scratch.d_W[0] * r.W_hat).sum(axis=-1))
+        d_vt, d_p, d_eps, d_W = _own_step_partials(scratch.base)
+        terms = terms + ((d_vt * r.vartheta_hat).sum(axis=-1) + (d_p * r.p_hat).sum(axis=-1)
+                         + d_eps * r.eps_hat + (d_W * r.W_hat).sum(axis=-1))
         failed = failed | scratch.failed
     alpha = terms / g
     return {"z": z, "alpha": alpha, "g": g, "w0": w0, "w1": w1, "w2": w2,
@@ -464,41 +463,29 @@ def _scratch_first_level_jets(x, adaptive: AdaptiveState, gains: GainConfig,
     """Jet pass through step 1: step 2's scratch, with the step-1 quantity
     values as its ``base``.
 
-    Only x_1 is tagged: the estimates enter as plain numbers, and their
-    partials come from :func:`_own_step_partials`.
+    Only x_1 is tagged: the estimates enter as plain numbers, and step 2
+    takes their partials from ``base`` (:func:`_own_step_partials`).
     """
     out = _step_quantities(1, [variable(x[..., 0])], adaptive.steps[0], gains[0],
                            plant, nets[0], None, [])
     aj = out["alpha"]
-    q = {k: _quantity_values(v) for k, v in out.items()}
+    q = {k: _at_x(v) for k, v in out.items()}
     # alpha_1 is finite only if every regressor (hence every partial) is
     q["failed"] = q["failed"] | ~(np.isfinite(aj.val) & np.isfinite(aj.d1)
                                   & np.isfinite(aj.d2))
-    d_vt, d_p, d_eps, d_W = _own_step_partials(q)
-    return StepScratch(
-        alpha=aj.val,
-        grad_x=aj.d1[..., None],
-        hess_x=aj.d2[..., None, None],
-        d_vartheta=[d_vt], d_p=[d_p], d_eps=[d_eps], d_W=[d_W], est_flow=0.0,
-        failed=q["failed"], base=q,
-    )
+    return StepScratch(aj.d1[..., None], aj.d2[..., None, None], 0.0, q["failed"], q)
 
 
-def _quantity_values(v):
+def _at_x(v, rank: int = 0):
+    """A quantity at the point itself, list entry by entry: a jet's value,
+    or row 0 of a value over a stencil's points of batch rank ``rank``; a
+    value without the point axis (a literal 0.0 entry, a constant gain) as
+    it is."""
+    if isinstance(v, list):
+        return [_at_x(e, rank) for e in v]
     if isinstance(v, Jet):
         return v.val
-    if isinstance(v, list):
-        return [_quantity_values(e) for e in v]
-    return v
-
-
-def _row0(v, rank: int):
-    """Row 0 of a quantity evaluated over a stencil's points of batch rank
-    ``rank``: lists entry by entry; a value without the point axis (a literal
-    0.0 entry, a constant gain) as it is."""
-    if isinstance(v, list):
-        return [_row0(e, rank) for e in v]
-    return v[0] if np.ndim(v) >= rank else v
+    return v[0] if rank and np.ndim(v) >= rank else v
 
 
 @lru_cache(maxsize=None)
@@ -528,8 +515,8 @@ def _scratch_numeric(level, x, adaptive: AdaptiveState, gains: GainConfig,
     est +- h * rate, with h = FD_STEP_FIRST * max(1, |est|) / |rate| (norms
     over steps 1..level-1); a zero rate gives exactly 0.0.  A moved
     coordinate is x0 + (+-h); an unmoved one is x0 itself.  Row 0, x0 at the
-    held estimates, is the scratch's ``base``; the own-step partials come
-    from it."""
+    held estimates, is the scratch's ``base``, from which step level+1 reads
+    alpha_level and its own-step partials."""
     x0 = x[..., :level]
     h1 = FD_STEP_FIRST * np.maximum(1.0, np.abs(x0))
     h2 = FD_STEP_SECOND * np.maximum(1.0, np.abs(x0))
@@ -547,7 +534,7 @@ def _scratch_numeric(level, x, adaptive: AdaptiveState, gains: GainConfig,
         est[m:, ..., :end] += np.stack((h, -h))[..., None] * r[..., :end]
         adaptive = adaptive.with_values(est)
     q, _ = _chain_alpha_value(level, pts, adaptive, gains, plant, nets, inner_mode)
-    base = {k: _row0(v, pts.ndim - 1) for k, v in q.items()}
+    base = {k: _at_x(v, pts.ndim - 1) for k, v in q.items()}
     a = np.broadcast_to(q["alpha"], pts.shape[:-1])
     alpha0, n2 = a[0], 2 * level
     grad_x = np.moveaxis(a[1:n2 + 1:2] - a[2:n2 + 2:2], 0, -1) / (2.0 * h1)
@@ -563,8 +550,7 @@ def _scratch_numeric(level, x, adaptive: AdaptiveState, gains: GainConfig,
     finite = (np.isfinite(alpha0) & np.all(np.isfinite(grad_x), axis=-1)
               & np.all(np.isfinite(hess), axis=(-2, -1)) & np.isfinite(flow))
     failed = np.any(np.broadcast_to(q["failed"], a.shape), axis=0) | ~finite
-    d_vt, d_p, d_eps, d_W = ([d] for d in _own_step_partials(base))
-    return StepScratch(alpha0, grad_x, hess, d_vt, d_p, d_eps, d_W, flow, failed, base)
+    return StepScratch(grad_x, hess, flow, failed, base)
 
 
 def _norm(state: AdaptiveState, k: int) -> np.ndarray:
@@ -583,11 +569,11 @@ def compute_scratch(i: int, x, adaptive: AdaptiveState, gains: GainConfig,
                     plant, nets, mode: str = "dual", rates=None) -> StepScratch:
     """Derivatives of alpha_{i-1} in the states and the estimates.
 
-    The partials in step i-1's own estimates are exact in both modes (closed
-    form, see :func:`_own_step_partials`).  mode "dual" runs a degree-2
-    Taylor jet in x_1 (exact) for the first recursion level; for deeper
-    levels the state derivatives and the estimate flow of the earlier steps
-    are central differences over the rows of one evaluation
+    The partials in step i-1's own estimates are exact in both modes, the
+    closed form :func:`_own_step_partials` of ``base``.  mode "dual" runs a
+    degree-2 Taylor jet in x_1 (exact) for the first recursion level; for
+    deeper levels the state derivatives and the estimate flow of the earlier
+    steps are central differences over the rows of one evaluation
     (:func:`_scratch_numeric`), whose steps take their own scratches the
     same way, down to the jet pass.  mode "numeric" uses central differences
     at every level.  ``rates`` is the rate state at x the calling pass holds

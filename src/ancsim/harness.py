@@ -28,7 +28,7 @@ from .plant import diffusion, drift
 from .rng import derive_stream, wiener_increments
 from .sde import DIVERGENCE_LIMIT, TrajectoryRecord, em_update
 
-__all__ = ["RunReport", "run_closed_loop", "monte_carlo", "emit_csv",
+__all__ = ["RunReport", "run_closed_loop", "monte_carlo", "summarize", "emit_csv",
            "emit_report", "columns", "csv_header", "csv_path"]
 
 EXCEEDANCE_LEVELS = (0.5, 1.0, 10.0)

@@ -31,12 +31,13 @@ def max_tanh_absorption_gap(eps: float = 1.0, grid: int = 2_000_001,
     return float(np.max(tanh_absorption_gap(v, eps)))
 
 
-def quartic_product_margin(a, z, b):
-    """(3/4)|a|^{4/3} z^4 + (1/4) b^4 - |a z^3 b|; nonnegative by Young."""
+def quartic_product_margin(a, z, b, exponent: float = 4.0 / 3.0):
+    """(3/4)|a|^e z^4 + (1/4) b^4 - |a z^3 b|, e = ``exponent``; nonnegative
+    by Young at e = 4/3, and negative somewhere at any other e."""
     a = np.asarray(a, dtype=float)
     z = np.asarray(z, dtype=float)
     b = np.asarray(b, dtype=float)
-    return 0.75 * np.abs(a) ** (4.0 / 3.0) * z ** 4 + 0.25 * b ** 4 - np.abs(a * z ** 3 * b)
+    return 0.75 * np.abs(a) ** exponent * z ** 4 + 0.25 * b ** 4 - np.abs(a * z ** 3 * b)
 
 
 def diffusion_energy_margin(z, phi_norm_sq, eps):

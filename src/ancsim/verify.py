@@ -10,7 +10,7 @@ from typing import List
 
 import numpy as np
 
-from . import ineq
+from . import controller, ineq
 from .config import load_bundled
 from .controller import (FD_STEP_FIRST, AdaptiveState, StepEstimates, alpha_1,
                          compute_scratch, forward_pass)
@@ -22,7 +22,9 @@ from .sde import TrajectoryRecord, em_update
 
 __all__ = ["CheckResult", "run_all",
            "tanh_absorption_check", "young_quartic_check", "diffusion_split_check",
-           "wiener_statistics_check", "derivative_agreement_check"]
+           "wiener_statistics_check", "stream_determinism_check", "sde_basics_check",
+           "rbf_properties_check", "plant_structural_check", "controller_structural_check",
+           "derivative_agreement_check", "monitor_basics_check"]
 
 _SEED = 20240811
 
@@ -61,8 +63,7 @@ def young_quartic_check(exponent: float = 4.0 / 3.0,
     a = np.concatenate([a, [100.0, -100.0, 1e3]])
     z = np.concatenate([z, [1.0, 1.0, 1.0]])
     b = np.concatenate([b, [1.0, 1.0, 1.0]])
-    margin = (0.75 * np.abs(a) ** exponent * z ** 4 + 0.25 * b ** 4
-              - np.abs(a * z ** 3 * b))
+    margin = ineq.quartic_product_margin(a, z, b, exponent)
     violations = int(np.sum(margin < -1e-9))
     return _result("young_quartic_split", violations == 0,
                    f"violations={violations} min_margin={margin.min():.3e}")
@@ -204,12 +205,14 @@ def derivative_agreement_check(states: int = 100, rtol_first: float = 1e-4,
                          for mode in ("dual", "numeric"))
             worst1 = max(worst1, _rel(dual.grad_x, num.grad_x))
             worst2 = max(worst2, _rel(dual.hess_x, num.hess_x))
-            # both modes share the closed form for these, so the reference is
-            # central differences of alpha_1 rather than the other mode
+            # both modes share the closed form for these, read through the
+            # controller module as it stands when the check runs, so the
+            # reference is central differences of alpha_1, not the other mode
             fd = _fd_estimate_partials(
                 lambda a: alpha_1(x[0], a, cfg.gains, cfg.plant, cfg.networks), adaptive, 0)
             for sc in (dual, num):
-                worst_est = max(worst_est, _rel(_own_block(sc), fd))
+                closed = np.hstack(controller._own_step_partials(sc.base))
+                worst_est = max(worst_est, _rel(closed, fd))
     cfg = load_bundled("cascade3")
     for _ in range(20):
         x = stream.uniform(3, -1.0, 1.0)
@@ -227,16 +230,13 @@ def derivative_agreement_check(states: int = 100, rtol_first: float = 1e-4,
         for mode in ("dual", "numeric"):
             sc = compute_scratch(3, x, adaptive, cfg.gains, cfg.plant, cfg.networks, mode=mode)
             worst_flow = max(worst_flow, abs(sc.est_flow - flow) / max(1.0, abs(flow)))
-            worst_est = max(worst_est, _rel(_own_block(sc), own))
+            closed = np.hstack(controller._own_step_partials(sc.base))
+            worst_est = max(worst_est, _rel(closed, own))
     ok = (worst1 < rtol_first and worst2 < rtol_second and worst_est < rtol_first
           and worst_flow < rtol_first)
     return _result("derivative_agreement", ok,
                    f"first_order={worst1:.2e} second_order={worst2:.2e} "
                    f"estimates_vs_fd={worst_est:.2e} est_flow_vs_fd={worst_flow:.2e}")
-
-
-def _own_block(sc) -> np.ndarray:
-    return np.hstack([sc.d_vartheta[0], sc.d_p[0], sc.d_eps[0], sc.d_W[0]])
 
 
 def _fd_estimate_partials(alpha_of, adaptive: AdaptiveState, j: int) -> np.ndarray:

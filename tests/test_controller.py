@@ -146,7 +146,7 @@ def test_alpha1_independent_of_second_state(section4_config, zero_estimates):
                            cfg.plant, cfg.networks)
     sc_b = compute_scratch(2, [0.7, 5.0], zero_estimates, cfg.gains,
                            cfg.plant, cfg.networks)
-    assert sc_a.alpha == sc_b.alpha
+    assert sc_a.base["alpha"] == sc_b.base["alpha"]
     assert np.array_equal(sc_a.grad_x, sc_b.grad_x)
 
 
@@ -276,7 +276,7 @@ def test_scratch_modes_agree(section4_config):
                             cfg.networks, mode="dual")
         n = compute_scratch(2, x, adaptive, cfg.gains, cfg.plant,
                             cfg.networks, mode="numeric")
-        assert abs(d.alpha - n.alpha) < 1e-12
+        assert abs(d.base["alpha"] - n.base["alpha"]) < 1e-12
         assert abs(d.grad_x[0] - n.grad_x[0]) <= 1e-4 * max(1.0, abs(d.grad_x[0]))
         assert abs(d.hess_x[0, 0] - n.hess_x[0, 0]) <= \
             1e-2 * max(1.0, abs(d.hess_x[0, 0]))
@@ -296,16 +296,17 @@ def test_scratch_estimate_partials_match_linearity(section4_config, zero_estimat
         x = stream.uniform(2, -2.0, 2.0)
         adaptive = random_estimates(stream)
         sc = compute_scratch(2, x, adaptive, cfg.gains, cfg.plant, cfg.networks)
+        d_vt, d_p, d_eps, d_W = controller._own_step_partials(sc.base)
         g1 = 1.0
         S1 = basis(cfg.networks[0], np.array([x[0]]))
-        assert np.allclose(sc.d_W[0], -S1 / g1, rtol=0, atol=1e-12)
+        assert np.allclose(d_W, -S1 / g1, rtol=0, atol=1e-12)
         z3 = x[0] ** 3
         w10 = math.tanh(z3 / cfg.gains[0].eps0)
-        assert abs(sc.d_eps[0] - (-w10 / g1)) < 1e-12
+        assert abs(d_eps - (-w10 / g1)) < 1e-12
         Phi1 = abs(x[0])
         w11 = Phi1 * math.tanh(z3 * Phi1 / cfg.gains[0].eps1)
-        assert abs(sc.d_p[0][0] - (-w11 / g1)) < 1e-12
-        assert np.allclose(sc.d_vartheta[0], 0.0)   # step-1 envelope is zero
+        assert abs(d_p[0] - (-w11 / g1)) < 1e-12
+        assert np.allclose(d_vt, 0.0)   # step-1 envelope is zero
 
 
 ESTIMATE_BLOCKS = ("vartheta_hat", "p_hat", "eps_hat", "W_hat")
@@ -333,14 +334,15 @@ def fd_estimate_partials(alpha_of, adaptive, j, h=1e-5):
 
 
 def assert_own_step_partials(x, adaptive, cfg_parts, j, alpha_of):
-    """Both scratch modes' step-j estimate partials of alpha_j (closed form,
-    the scratch's one own-step block) against central differences of alpha_j
+    """Both scratch modes' step-j estimate partials of alpha_j (the closed
+    form of the scratch's base) against central differences of alpha_j
     itself."""
     gains, plant, nets = cfg_parts
     fd = fd_estimate_partials(alpha_of, adaptive, j)
     for mode in ("dual", "numeric"):
         sc = compute_scratch(j + 2, x, adaptive, gains, plant, nets, mode=mode)
-        closed = [sc.d_vartheta[0], sc.d_p[0], [sc.d_eps[0]], sc.d_W[0]]
+        d_vt, d_p, d_eps, d_W = controller._own_step_partials(sc.base)
+        closed = [d_vt, d_p, [d_eps], d_W]
         for attr, c, f in zip(ESTIMATE_BLOCKS, closed, fd):
             assert np.allclose(c, f, rtol=1e-7, atol=1e-9), (mode, attr, c, f)
     return fd
@@ -570,7 +572,8 @@ def test_pass_scratch_is_the_standalone_scratch(monkeypatch):
             alone = real(3, x, adaptive, gains, plant, nets, mode=mode)
             assert len(seen) == 1
             for f in ("alpha", "grad_x", "hess_x", "est_flow", "failed"):
-                got, want = np.asarray(getattr(seen[0], f)), np.asarray(getattr(alone, f))
+                got, want = (np.asarray(sc.base[f] if f == "alpha" else getattr(sc, f))
+                             for sc in (seen[0], alone))
                 assert got.shape == want.shape and got.tobytes() == want.tobytes(), (mode, f)
             assert not np.any(alone.failed)
             if batch == 7:
@@ -595,6 +598,26 @@ def test_forward_pass_evaluates_each_point_once(name, mode, calls, monkeypatch):
     x = np.array([0.3, -0.2, 0.1][:cfg.n])
     forward_pass(x, cfg.initial_estimates, cfg.gains, cfg.plant, cfg.networks, mode=mode)
     assert len(seen) == calls, seen
+
+
+@pytest.mark.parametrize("name, mode, shapes", [
+    (name, mode, [(15,), ()] if name == "cascade3" else [()])
+    for name in ("section4", "remark1", "cascade3") for mode in ("dual", "numeric")])
+def test_own_step_partials_once_per_step_and_point_batch(name, mode, shapes, monkeypatch):
+    # step i takes the closed form of step i-1's own partials from the
+    # scratch's base where it reads them, once per evaluation: at x for the
+    # top step, and once over cascade3's 15 step-3 stencil rows for step 2
+    cfg = load_bundled(name)
+    real = controller._own_step_partials
+    seen = []
+
+    def counting(q):
+        seen.append(np.shape(q["z"]))
+        return real(q)
+    monkeypatch.setattr(controller, "_own_step_partials", counting)
+    x = np.array([0.3, -0.2, 0.1][:cfg.n])
+    forward_pass(x, cfg.initial_estimates, cfg.gains, cfg.plant, cfg.networks, mode=mode)
+    assert seen == shapes
 
 
 def _same_quantity(got, want):
@@ -705,6 +728,7 @@ def hand_two_step_u(x, adaptive, cfg):
 
     sc = compute_scratch(2, x, adaptive, cfg.gains, cfg.plant, cfg.networks)
     a1x, a1xx = sc.grad_x[0], sc.hess_x[0, 0]
+    d_vt, d_p, d_eps, d_W = controller._own_step_partials(sc.base)
     r1 = adaptive_rates(1, z1, w10, [w11], [0.0, 0.0], S1, e1, ga1)
 
     z2 = x2 - alpha1
@@ -721,8 +745,7 @@ def hand_two_step_u(x, adaptive, cfg):
          - e2.vartheta_hat @ w22 - e2.W_hat @ S2
          + 0.5 * a1xx * phi1 ** 2
          + a1x * g1 * x2
-         + sc.d_vartheta[0] @ r1.vartheta_hat + sc.d_p[0] @ r1.p_hat
-         + sc.d_eps[0] * r1.eps_hat + sc.d_W[0] @ r1.W_hat
+         + d_vt @ r1.vartheta_hat + d_p @ r1.p_hat + d_eps * r1.eps_hat + d_W @ r1.W_hat
          - (3 * z2 / (4 * ga2.young_eps1)) * rho ** 4) / g2
     return alpha1, u
 
@@ -951,7 +974,7 @@ def test_step1_value_at_x_is_the_law_or_the_jet(n):
     plant, nets, gains = cascade(n, state_gain=True)
     x, est = cascade_batch(derive_stream(24, 50 + n), n, 40)
     law = alpha_1(x[:, 0], est, gains, plant, nets)
-    jet = compute_scratch(2, x, est, gains, plant, nets, mode="dual").alpha
+    jet = compute_scratch(2, x, est, gains, plant, nets, mode="dual").base["alpha"]
     assert np.any(law != jet) and np.all(np.abs(law - jet) <= 4e-16 * np.abs(law))
     for mode in ("dual", "numeric"):
         got = forward_pass(x, est, gains, plant, nets, mode=mode).alphas[:, 0]

@@ -1,10 +1,11 @@
 import numpy as np
 
+from ancsim import controller
 from ancsim.cli import main
 from ancsim.ineq import (diffusion_energy_margin, max_tanh_absorption_gap,
                          quartic_product_margin, tanh_absorption_gap)
 from ancsim.rng import derive_stream
-from ancsim.verify import (run_all, tanh_absorption_check,
+from ancsim.verify import (derivative_agreement_check, run_all, tanh_absorption_check,
                            young_quartic_check)
 
 
@@ -59,6 +60,18 @@ def test_young_suite_detects_changed_exponent():
     assert ok.passed
     broken = young_quartic_check(exponent=1.0, samples=10_000)
     assert not broken.passed
+
+
+def test_derivative_suite_detects_partials_without_the_gain(monkeypatch):
+    # the own-step closed form without its 1/g: only remark1's
+    # g_1 = 1 + x_1^2 tells it apart, so the check must read the closed form
+    # the controller module holds when it runs
+    real = controller._own_step_partials
+    monkeypatch.setattr(controller, "_own_step_partials", lambda q: real(dict(q, g=1.0)))
+    broken = derivative_agreement_check(states=20)
+    worst = dict(kv.split("=") for kv in broken.detail.split())
+    assert not broken.passed and float(worst["estimates_vs_fd"]) > 1e-2, broken.detail
+    assert float(worst["first_order"]) < 1e-4 and float(worst["est_flow_vs_fd"]) < 1e-4
 
 
 def test_run_all_quick_passes():
