@@ -36,6 +36,13 @@ MAX_NODES = 1024
 
 _GAIN_FIELDS = ("c", "gamma_eps", "sigma_vartheta", "sigma_p", "sigma_eps",
                 "sigma_w", "eps0", "eps1", "eps2", "young_eps1")
+_TOP_KEYS = ("plant", "dt", "horizon", "runs", "master_seed", "csv_decimation",
+             "scratch_mode", "x0", "networks", "gains", "initial_estimates", "output_dir")
+_BLOCK_KEYS = {
+    "networks": ("input_dim", "bounds", "width", "layout_seed", "nodes", "mode"),
+    "gains": _GAIN_FIELDS + ("Gamma_vartheta", "Gamma_p", "Gamma_w"),
+    "initial_estimates": ("vartheta_hat", "p_hat", "eps_hat", "W_hat"),
+}
 
 
 class ConfigError(ValueError):
@@ -177,6 +184,10 @@ def _object(raw, where: str, violations: List[str]) -> dict:
     return {}
 
 
+def _unknown_keys(blk: dict, prefix: str, known, violations: List[str]):
+    violations.extend(f"{prefix}{k}: unknown key" for k in blk if k not in known)
+
+
 def _blocks(data: dict, key: str, n: int, violations: List[str]):
     """(step, block) pairs of the per-step list ``data[key]``."""
     raw = data.get(key, [])
@@ -185,8 +196,11 @@ def _blocks(data: dict, key: str, n: int, violations: List[str]):
         return []
     if len(raw) != n:
         violations.append(f"{key}: expected one block per step ({n}), got {len(raw)}")
-    return [(i, blk) for i, blk in enumerate(raw[:n], start=1)
-            if _object(blk, f"{key}[{i - 1}]", violations) is blk]
+    pairs = [(i, blk) for i, blk in enumerate(raw[:n], start=1)
+             if _object(blk, f"{key}[{i - 1}]", violations) is blk]
+    for i, blk in pairs:
+        _unknown_keys(blk, f"{key}[{i - 1}].", _BLOCK_KEYS[key], violations)
+    return pairs
 
 
 def _network(i: int, blk: dict, violations: List[str]):
@@ -210,27 +224,15 @@ def _network(i: int, blk: dict, violations: List[str]):
                    integer=True)
     if seed is not None and seed < 0:
         violations.append(f"{where}.layout_seed: must be >= 0, got {seed}")
-    total = blk.get("nodes")
-    if total is not None:
-        total = _number(total, f"{where}.nodes", violations, integer=True)
-        if total is not None and not 2 <= total <= MAX_NODES:
-            violations.append(f"{where}.nodes: must lie in [2, {MAX_NODES}], got {total}")
-    counts = blk.get("counts")
-    if counts is not None:
-        counts = _vector(counts, canonical, f"{where}.counts", violations)
-        if counts is not None and not (np.all(counts >= 1)
-                                       and np.all(counts == np.round(counts))
-                                       and np.prod(counts) <= MAX_NODES):
-            violations.append(f"{where}.counts: expected positive integers with "
-                              f"a product of at most {MAX_NODES}, got {blk['counts']!r}")
-        elif counts is not None:
-            counts = [int(c) for c in counts]
+    total = _number(blk.get("nodes", _MISSING), f"{where}.nodes", violations, integer=True)
+    if total is not None and not 2 <= total <= MAX_NODES:
+        violations.append(f"{where}.nodes: must lie in [2, {MAX_NODES}], got {total}")
     if len(violations) > found:
         return None
     try:
         centers = make_centers(CenterLayout(mode=blk.get("mode", "tensor-grid"),
-                                            bounds=bounds, counts=counts,
-                                            total=total, layout_seed=seed))
+                                            bounds=bounds, total=total,
+                                            layout_seed=seed))
         return RbfNetwork(input_dim=input_dim, centers=centers, width=width,
                           weights=np.zeros(centers.shape[0]))
     except ValueError as exc:
@@ -255,8 +257,10 @@ def _horizon_violations(horizon: float, dt: float, violations: List[str]):
 def parse_config(data: dict) -> ExperimentConfig:
     violations: List[str] = []
     data = _object(data, "config", violations)
+    _unknown_keys(data, "", _TOP_KEYS, violations)
 
     plant_block = _object(data.get("plant", {}), "plant", violations)
+    _unknown_keys(plant_block, "plant.", ("preset", "params"), violations)
     preset = plant_block.get("preset")
     plant = None
     if not isinstance(preset, str) or preset not in PRESETS:

@@ -252,7 +252,7 @@ def nn_input(i: int, x, alpha_prev=None, grad_prev=None):
     return list(x[:i]) + [alpha_prev] + [grad[..., j] for j in range(i - 1)]
 
 
-def tanh_bound_terms(i, z_i, Phi_stack, varphi_stack, est: StepEstimates,
+def tanh_bound_terms(z_i, Phi_stack, varphi_stack, est: StepEstimates,
                      gains_i: StepGains):
     """Smoothed compensations (beta_i0, beta_i1, beta_i2, w_i0, w_i1, w_i2).
 
@@ -299,7 +299,7 @@ def _gain(gains_i: StepGains, name: str, v: np.ndarray, out=None) -> np.ndarray:
     return np.sum(getattr(gains_i, "Gamma_" + name) * v[..., None, :], axis=-1, out=out)
 
 
-def adaptive_rates(i: int, z_i: float, w0, w1, w2, S_i: np.ndarray,
+def adaptive_rates(z_i: float, w0, w1, w2, S_i: np.ndarray,
                    est: StepEstimates, gains_i: StepGains,
                    out: Optional[StepEstimates] = None) -> StepEstimates:
     """Leaky update rates: rate = Gamma (z^3 s - sigma * estimate), written
@@ -352,8 +352,8 @@ def _step_quantities(i, xs, est, gains_i: StepGains, plant, net: RbfNetwork,
     total = gv + sum(_val(v) for v in designer + [e for phi in phis for e in phi])
     failed = (np.abs(gv) < GAIN_FLOOR) | ~np.isfinite(total)
 
-    beta0, beta1, beta2, w0, w1, w2 = tanh_bound_terms(i, z, Phi_stack,
-                                                       varphi_stack, est, gains_i)
+    beta0, beta1, beta2, w0, w1, w2 = tanh_bound_terms(z, Phi_stack, varphi_stack,
+                                                       est, gains_i)
     S = basis_components(net.centers, net.width, Z)
     nn_out = jsum(est.W_hat * S)
 
@@ -406,7 +406,7 @@ def _own_step_partials(q):
 
 def _rates_into(k, q, adaptive: AdaptiveState, gains: GainConfig, rates: AdaptiveState):
     """Step k's adaptive rates from its quantities ``q``, into ``rates``."""
-    adaptive_rates(k, q["z"], q["w0"], q["w1"], q["w2"], q["S"], adaptive.steps[k - 1],
+    adaptive_rates(q["z"], q["w0"], q["w1"], q["w2"], q["S"], adaptive.steps[k - 1],
                    gains[k - 1], out=rates.steps[k - 1])
 
 

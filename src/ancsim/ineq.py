@@ -24,10 +24,10 @@ def tanh_absorption_gap(v, eps):
     return np.abs(v) - v * np.tanh(v / eps)
 
 
-def max_tanh_absorption_gap(eps: float = 1.0, grid: int = 2_000_001,
-                            v_max: float = 10.0) -> float:
-    """Brute-force maximum of the absorption gap over a dense grid of v."""
-    v = np.linspace(0.0, v_max * eps, grid)
+def max_tanh_absorption_gap(eps: float = 1.0) -> float:
+    """Brute-force maximum of the absorption gap over 2_000_001 evenly spaced
+    v in [0, 10 eps]."""
+    v = np.linspace(0.0, 10.0 * eps, 2_000_001)
     return float(np.max(tanh_absorption_gap(v, eps)))
 
 

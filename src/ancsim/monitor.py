@@ -45,7 +45,8 @@ class BoundConstants:
 
     @property
     def residual_bound(self) -> float:
-        return self.K_total / self.lambda_min
+        """K / lambda; inf when lambda underflows to 0 (no decay, no bound)."""
+        return self.K_total / self.lambda_min if self.lambda_min > 0 else np.inf
 
 
 @dataclass
@@ -116,19 +117,20 @@ def lambda_K(gains: GainConfig, truth_norms: Sequence[TruthNorms]) -> BoundConst
     return BoundConstants(lam, K)
 
 
-# the last reference fit: (plant, networks, sample_seed, samples_per_node, norms)
+_TRUTH_SEED = 0
+_TRUTH_SAMPLES_PER_NODE = 8
+# the last reference fit: (plant, networks, norms)
 _TRUTH_MEMO: list = [None]
 
 
-def reference_truth_norms(plant, nets: Sequence[RbfNetwork],
-                          sample_seed: int = 0,
-                          samples_per_node: int = 8) -> List[TruthNorms]:
+def reference_truth_norms(plant, nets: Sequence[RbfNetwork]) -> List[TruthNorms]:
     """Truth norms per step; ideal weight norms come from a reference fit.
 
     The per-step unknown-function stack (f_i minus the gradient-weighted
     earlier f_j, reconstructed from the canonical network input layout) is fit
-    on uniform samples of the network's center box, and the norm of the
-    fitted weights stands in for the unknowable ideal weight norm.
+    on uniform samples of the network's center box: max(8 l, 400) samples
+    for l nodes, from stream (0, i) for step i.  The norm of the fitted
+    weights stands in for the unknowable ideal weight norm.
 
     The fit depends only on the plant and the networks' centers and widths,
     so the last result is kept and returned again for the same plant and
@@ -136,9 +138,8 @@ def reference_truth_norms(plant, nets: Sequence[RbfNetwork],
     """
     memo = _TRUTH_MEMO[0]
     if (memo is not None and memo[0] is plant and len(memo[1]) == len(nets)
-            and all(a is b for a, b in zip(memo[1], nets))
-            and memo[2:4] == (sample_seed, samples_per_node)):
-        return list(memo[4])
+            and all(a is b for a, b in zip(memo[1], nets))):
+        return list(memo[2])
     out = []
     for i in range(1, plant.n + 1):
         net = nets[i - 1]
@@ -148,8 +149,8 @@ def reference_truth_norms(plant, nets: Sequence[RbfNetwork],
                              f"match the canonical layout ({canonical})")
         lo = net.centers.min(axis=0)
         hi = net.centers.max(axis=0)
-        count = max(samples_per_node * net.node_count, 400)
-        stream = derive_stream(sample_seed, i)
+        count = max(_TRUTH_SAMPLES_PER_NODE * net.node_count, 400)
+        stream = derive_stream(_TRUTH_SEED, i)
         Z = np.stack([stream.uniform(count, lo[k], hi[k])
                       for k in range(net.input_dim)], axis=1)
         targets = np.empty(count)
@@ -169,7 +170,7 @@ def reference_truth_norms(plant, nets: Sequence[RbfNetwork],
             vartheta_norm=float(np.linalg.norm(plant.theta_envelope(i))),
             W_norm=float(np.linalg.norm(w)),
         ))
-    _TRUTH_MEMO[0] = (plant, list(nets), sample_seed, samples_per_node, out)
+    _TRUTH_MEMO[0] = (plant, list(nets), out)
     return list(out)
 
 

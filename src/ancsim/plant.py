@@ -111,19 +111,19 @@ class AssumptionReport:
     passed: bool
 
 
-def check_assumptions(plant: StrictFeedbackPlant, box: np.ndarray,
-                      sample_count: int, stream: NormalStream,
-                      t_max: float = 20.0) -> AssumptionReport:
-    """Sample the box and report envelope-domination ratios (0/0 skipped).
+def check_assumptions(plant: StrictFeedbackPlant, sample_count: int,
+                      stream: NormalStream) -> AssumptionReport:
+    """Sample the plant's domain box, with times in [0, 20], and report
+    envelope-domination ratios (0/0 skipped).
 
     Passes iff every observed ratio is <= 1 + 1e-9.  Failures are reported,
     not raised.
     """
     if sample_count <= 0:
         raise ValueError("sample_count must be positive")
-    box = np.asarray(box, dtype=float)
-    xs = np.stack([stream.uniform(sample_count, lo, hi) for lo, hi in box], axis=1)
-    ts = stream.uniform(sample_count, 0.0, t_max)
+    xs = np.stack([stream.uniform(sample_count, lo, hi) for lo, hi in plant.domain_box],
+                  axis=1)
+    ts = stream.uniform(sample_count, 0.0, 20.0)
     cols = [xs[:, j] for j in range(plant.n)]
     rows = (sample_count,)
 

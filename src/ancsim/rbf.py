@@ -7,7 +7,7 @@ controller can differentiate straight through network evaluations.
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -35,8 +35,12 @@ class RbfNetwork:
     def __post_init__(self):
         self.centers = np.atleast_2d(np.asarray(self.centers, dtype=float))
         self.weights = np.asarray(self.weights, dtype=float)
-        if self.width <= 0:
-            raise ValueError(f"width must be positive, got {self.width}")
+        # the basis divides by width^2, which underflows to 0 below about
+        # 1.5e-162 and overflows to inf above about 1.3e154
+        square = float(self.width) * float(self.width)
+        if not (self.width > 0 and 0 < square < np.inf):
+            raise ValueError("width must be positive with a positive, finite square, "
+                             f"got {self.width}")
         if self.node_count <= 1:
             raise ValueError("need more than one node")
         if self.centers.shape[1] != self.input_dim:
@@ -52,12 +56,12 @@ class RbfNetwork:
 
 @dataclass
 class CenterLayout:
-    """Placement recipe: an even tensor lattice or scrambled-Halton points."""
+    """Placement recipe for ``total`` nodes: an even tensor lattice, with
+    round(total ** (1/q)) per axis, or scrambled-Halton points."""
 
     mode: str                    # "tensor-grid" | "quasi-random"
     bounds: Sequence             # per-dimension (low, high)
-    counts: Optional[Sequence[int]] = None
-    total: Optional[int] = None
+    total: int
     layout_seed: int = 0
 
 
@@ -97,25 +101,14 @@ def make_centers(layout: CenterLayout) -> np.ndarray:
     q = bounds.shape[0]
 
     if layout.mode == "tensor-grid":
-        counts = layout.counts
-        if counts is None:
-            if layout.total is None:
-                raise ValueError("tensor-grid needs counts or total")
-            per = round(layout.total ** (1.0 / q))
-            if per ** q != layout.total:
-                raise ValueError(f"total {layout.total} is not a {q}-dim lattice size")
-            counts = [per] * q
-        counts = [int(c) for c in counts]
-        if layout.total is not None and int(np.prod(counts)) != layout.total:
-            raise ValueError(f"grid counts {counts} give {int(np.prod(counts))} "
-                             f"nodes, not the requested {layout.total}")
-        axes = [np.linspace(lo, hi, c) for (lo, hi), c in zip(bounds, counts)]
+        per = round(layout.total ** (1.0 / q))
+        if per ** q != layout.total:
+            raise ValueError(f"total {layout.total} is not a {q}-dim lattice size")
+        axes = [np.linspace(lo, hi, per) for lo, hi in bounds]
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=1)
 
     if layout.mode == "quasi-random":
-        if layout.total is None:
-            raise ValueError("quasi-random needs a total node count")
         if q > len(_PRIMES):
             raise ValueError(f"quasi-random layout supports up to {len(_PRIMES)} dims")
         stream = derive_stream(layout.layout_seed, 0)

@@ -80,7 +80,9 @@ def diffusion_split_check(samples: int = 100_000) -> CheckResult:
                    f"violations={violations} min_margin={margin.min():.3e}")
 
 
-def wiener_statistics_check(samples: int = 1_000_000, dt: float = 1e-3) -> CheckResult:
+def wiener_statistics_check(samples: int = 1_000_000) -> CheckResult:
+    """Variance, mean and cross-correlation of two-channel increments at dt = 1e-3."""
+    dt = 1e-3
     dw = wiener_increments(derive_stream(_SEED, 4), 2, samples, dt)
     var = np.var(dw, axis=0)
     mean = np.mean(dw, axis=0)
@@ -144,8 +146,7 @@ def plant_structural_check() -> CheckResult:
     details = [f"section4_origin_drift={np.max(np.abs(origin)):.1e}"]
     ok = zero_ok
     for plant in (s4, preset_remark()):
-        rep = check_assumptions(plant, plant.domain_box, 10_000,
-                                derive_stream(_SEED, 10))
+        rep = check_assumptions(plant, 10_000, derive_stream(_SEED, 10))
         ok = ok and rep.passed
         stream = derive_stream(_SEED, 11)
         xs = [stream.uniform(2000, lo, hi) for lo, hi in plant.domain_box]

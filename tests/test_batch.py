@@ -224,13 +224,13 @@ def test_full_gain_matrix_is_a_fixed_order_row_reduction():
     S = stream.uniform(5 * l, 0.0, 1.0).reshape(5, l)
     est = StepEstimates(np.zeros((5, 2)), np.zeros((5, 1)), np.zeros(5),
                         stream.uniform(5 * l, -1.0, 1.0).reshape(5, l))
-    batch = adaptive_rates(1, z, np.zeros(5), [0.0], [0.0, 0.0], S, est, gains).W_hat
+    batch = adaptive_rates(z, np.zeros(5), [0.0], [0.0, 0.0], S, est, gains).W_hat
     rates = AdaptiveState([est, est])
-    adaptive_rates(1, z, np.zeros(5), [0.0], [0.0, 0.0], S, est, gains, out=rates.steps[1])
+    adaptive_rates(z, np.zeros(5), [0.0], [0.0, 0.0], S, est, gains, out=rates.steps[1])
     assert np.array_equal(_bits(rates.steps[1].W_hat), _bits(batch))
     for b in range(5):
         row = StepEstimates(est.vartheta_hat[b], est.p_hat[b], est.eps_hat[b], est.W_hat[b])
-        alone = adaptive_rates(1, z[b], 0.0, [0.0], [0.0, 0.0], S[b], row, gains).W_hat
+        alone = adaptive_rates(z[b], 0.0, [0.0], [0.0, 0.0], S[b], row, gains).W_hat
         assert np.array_equal(_bits(alone), _bits(batch[b]))
         v = z[b] ** 3 * S[b] - gains.sigma_w * est.W_hat[b]
         assert np.allclose(alone, gains.Gamma_w @ v, rtol=1e-13, atol=1e-15)

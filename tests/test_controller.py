@@ -91,7 +91,7 @@ def small_gains(i=1):
 
 def test_bound_terms_vanish_at_zero_error():
     est = StepEstimates(np.array([1.0, -2.0]), np.array([3.0]), 4.0, np.zeros(4))
-    b0, b1, b2, w0, w1, w2 = tanh_bound_terms(1, 0.0, [5.0], [1.0, 2.0],
+    b0, b1, b2, w0, w1, w2 = tanh_bound_terms(0.0, [5.0], [1.0, 2.0],
                                               est, small_gains())
     assert b0 == b1 == b2 == 0.0
     assert w0 == 0.0 and all(v == 0.0 for v in w1) and all(v == 0.0 for v in w2)
@@ -99,7 +99,7 @@ def test_bound_terms_vanish_at_zero_error():
 
 def test_bound_terms_saturate_to_estimate_times_stack():
     est = StepEstimates(np.zeros(2), np.array([2.0]), 0.0, np.zeros(4))
-    b0, b1, b2, _, _, _ = tanh_bound_terms(1, 10.0, [3.0], [0.0, 0.0],
+    b0, b1, b2, _, _, _ = tanh_bound_terms(10.0, [3.0], [0.0, 0.0],
                                            est, small_gains())
     assert abs(b1 - 6.0) < 1e-9          # tanh saturated to 1
 
@@ -195,14 +195,14 @@ def test_assigning_a_bound_field_writes_the_state(batch):
                     assert np.array_equal(a.values, others)
     assert not np.any(a.values == 1.0)
     # a free-standing record, such as rates without ``out``, is plain
-    r = adaptive_rates(1, 0.5, 0.1, [0.2], [0.3, 0.4], np.ones(4), a.steps[0], small_gains())
+    r = adaptive_rates(0.5, 0.1, [0.2], [0.3, 0.4], np.ones(4), a.steps[0], small_gains())
     r.eps_hat = "rebound"
     assert type(r) is StepEstimates and r.eps_hat == "rebound"
 
 
 def test_rates_vanish_at_zero_error_and_zero_estimates():
     est = StepEstimates(np.zeros(2), np.zeros(1), 0.0, np.zeros(4))
-    r = adaptive_rates(1, 0.0, 0.0, [0.0], [0.0, 0.0], np.zeros(4), est,
+    r = adaptive_rates(0.0, 0.0, [0.0], [0.0, 0.0], np.zeros(4), est,
                        small_gains())
     assert np.all(r.vartheta_hat == 0) and np.all(r.p_hat == 0)
     assert r.eps_hat == 0.0 and np.all(r.W_hat == 0)
@@ -211,7 +211,7 @@ def test_rates_vanish_at_zero_error_and_zero_estimates():
 def test_rates_pure_leakage_decay():
     w0 = np.array([1.0, -2.0, 0.5, 0.0])
     est = StepEstimates(np.zeros(2), np.zeros(1), 0.0, w0)
-    r = adaptive_rates(1, 0.0, 0.0, [0.0], [0.0, 0.0], np.zeros(4), est,
+    r = adaptive_rates(0.0, 0.0, [0.0], [0.0, 0.0], np.zeros(4), est,
                        small_gains())
     assert np.allclose(r.W_hat, -0.3 * 0.3 * w0)
 
@@ -219,7 +219,7 @@ def test_rates_pure_leakage_decay():
 def test_rates_scalar_arithmetic():
     # gamma (z^3 w0 - sigma eps_hat) = 0.3 (1 - 0.3*2) = 0.12
     est = StepEstimates(np.zeros(2), np.zeros(1), 2.0, np.zeros(4))
-    r = adaptive_rates(1, 1.0, 1.0, [0.0], [0.0, 0.0], np.zeros(4), est,
+    r = adaptive_rates(1.0, 1.0, [0.0], [0.0, 0.0], np.zeros(4), est,
                        small_gains())
     assert abs(r.eps_hat - 0.12) < 1e-15
 
@@ -247,7 +247,7 @@ def test_gamma_reassignment_takes_effect_at_the_next_rates(section4_config):
     v = np.zeros(2) - g.sigma_p * est.p_hat
 
     def p_rate():
-        return adaptive_rates(2, 0.0, 0.0, [0.0, 0.0], [0.0, 0.0],
+        return adaptive_rates(0.0, 0.0, [0.0, 0.0], [0.0, 0.0],
                               np.zeros(g.Gamma_w.shape[0]), est, g).p_hat
 
     def bits(a):
@@ -664,7 +664,7 @@ def test_scratch_base_is_the_direct_step_evaluation(mode, batch):
             for key in want:
                 _same_quantity(got[key], want[key])
             assert np.ravel(want["failed"]).tolist() == [batch > 1] + [False] * (batch - 1)
-            adaptive_rates(k, want["z"], want["w0"], want["w1"], want["w2"], want["S"],
+            adaptive_rates(want["z"], want["w0"], want["w1"], want["w2"], want["S"],
                            est.steps[k - 1], gains[k - 1], out=rates.steps[k - 1])
 
 
@@ -729,7 +729,7 @@ def hand_two_step_u(x, adaptive, cfg):
     sc = compute_scratch(2, x, adaptive, cfg.gains, cfg.plant, cfg.networks)
     a1x, a1xx = sc.grad_x[0], sc.hess_x[0, 0]
     d_vt, d_p, d_eps, d_W = controller._own_step_partials(sc.base)
-    r1 = adaptive_rates(1, z1, w10, [w11], [0.0, 0.0], S1, e1, ga1)
+    r1 = adaptive_rates(z1, w10, [w11], [0.0, 0.0], S1, e1, ga1)
 
     z2 = x2 - alpha1
     z23 = z2 ** 3

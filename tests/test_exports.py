@@ -1,6 +1,8 @@
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -26,3 +28,20 @@ def test_all_lists_exactly_the_public_definitions(name):
                if not n.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj))
                and obj.__module__ == name]
     assert [n for n in defined if n not in mod.__all__] == []
+
+
+def test_every_parameter_is_read():
+    # a parameter its function never reads is a setting with no effect;
+    # monte_carlo keeps ``jobs`` because the benchmark passes it
+    unread = []
+    for path in sorted(Path(ancsim.__path__[0]).glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = fn.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs
+                      + [a.vararg, a.kwarg] if p is not None]
+            read = {n.id for n in ast.walk(fn)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [f"{path.stem}.{fn.name}({p})" for p in params if p not in read]
+    assert unread == ["harness.monte_carlo(jobs)"]

@@ -472,6 +472,51 @@ def test_cli_lists_every_violation(tmp_path, capsys):
         assert f"  - {expected}" in err
 
 
+def test_cli_rejects_unknown_keys_in_every_block(tmp_path, capsys):
+    # a misspelled key is a violation, never a silent fall-back to the default
+    data = json.loads(bundled_preset_text("section4"))
+    data["horizn"] = 1.0
+    data["plant"]["presett"] = "remark1"
+    data["gains"][0]["sigma_W"] = 1.0
+    data["networks"][0]["widht"] = 0.5
+    data["networks"][1]["counts"] = [3, 3, 3, 3]
+    data["initial_estimates"][1]["w_hat"] = 0.0
+    code = main(["sweep", "--config", write_config(tmp_path, data)])
+    err = capsys.readouterr().err
+    assert code == 1
+    paths = ["horizn", "plant.presett", "gains[0].sigma_W", "networks[0].widht",
+             "networks[1].counts", "initial_estimates[1].w_hat"]
+    assert err.count("\n  - ") == len(paths)
+    for path in paths:
+        assert f"  - {path}: unknown key" in err
+
+
+@pytest.mark.parametrize("width", [1e-200, 1e300])
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_cli_rejects_a_width_whose_square_leaves_the_floats(tmp_path, capsys, command,
+                                                             width):
+    # each width is positive, but the basis divides by its square: 0.0 or inf
+    data = json.loads(bundled_preset_text("section4"))
+    data["networks"][0]["width"] = width
+    code = main([command, "--config", write_config(tmp_path, data)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "  - networks[0]: width must be positive with a positive, finite square" in err
+    assert "Traceback" not in err
+
+
+def test_cli_sweep_reports_an_infinite_bound_without_decay(tmp_path, capsys):
+    # each gain is positive, but gamma_eps * sigma_eps underflows to lambda_1 = 0
+    data = json.loads(bundled_preset_text("section4"))
+    data["gains"][0].update(gamma_eps=1e-200, sigma_eps=1e-200)
+    cfgp = write_quick_config(tmp_path, gains=data["gains"])
+    assert main(["sweep", "--config", cfgp]) == 0
+    out = capsys.readouterr().out
+    assert "lambda_min = 0\n" in out
+    assert "residual_bound_K_over_lambda = inf\n" in out
+    assert "drift_negative_above_residual = True\n" in out
+
+
 def test_cli_bad_overrides_exit_one(tmp_path, capsys):
     cfgp = write_quick_config(tmp_path)
     assert main(["run", "--config", cfgp, "--seed", "-1", "--run-index", "-2"]) == 1

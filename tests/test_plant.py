@@ -77,8 +77,7 @@ def test_remark_preset_table_values():
 
 def test_assumptions_pass_for_both_presets():
     for plant in (preset_section4(), preset_remark()):
-        rep = check_assumptions(plant, plant.domain_box, 10_000,
-                                derive_stream(18, 0))
+        rep = check_assumptions(plant, 10_000, derive_stream(18, 0))
         assert rep.passed, (plant.name, rep.delta_ratios, rep.psi_ratios)
 
 
@@ -93,14 +92,14 @@ def test_assumptions_flag_constructed_violation():
         p_star=np.array([1.0, 0.0]),
         varphi_bound=plant.varphi_bound, b_star=plant.b_star,
         domain_box=np.array([[-3.0, 3.0], [-3.0, 3.0]]))
-    rep = check_assumptions(bad, bad.domain_box, 10_000, derive_stream(18, 1))
+    rep = check_assumptions(bad, 10_000, derive_stream(18, 1))
     assert not rep.passed
     assert rep.delta_ratios[0] > 1.5
 
 
 def test_assumptions_trivial_when_disturbance_absent():
     plant = preset_section4(disturbance_scale=0.0)
-    rep = check_assumptions(plant, plant.domain_box, 1000, derive_stream(18, 2))
+    rep = check_assumptions(plant, 1000, derive_stream(18, 2))
     assert rep.passed
 
 

@@ -22,7 +22,7 @@ def test_absorption_brute_force_peak_location():
     peak = max_tanh_absorption_gap(eps=1.0)
     assert 0.2776 <= peak <= 0.2785
     # the bound scales linearly in the width
-    peak3 = max_tanh_absorption_gap(eps=3.0, v_max=10.0)
+    peak3 = max_tanh_absorption_gap(eps=3.0)
     assert abs(peak3 - 3.0 * peak) < 1e-6
 
 
